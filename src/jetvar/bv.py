@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     ANTIFIELD,
-    Atom,
     EVEN,
     Expression,
     FIELD,
@@ -201,20 +200,20 @@ def extend_to_bv(
     lagrangian = _transfer(theory.lagrangian, ext_sig)
     ext_theory = Theory(ext_sig, lagrangian)
 
-    proposal = lagrangian
+    proposal = [lagrangian]
     for pair in pairs:
         for ghost_comp, op in pair.operators.items():
             ghost = ext_sig.from_atom(ext_sig.atom(pair.ghost.name, ghost_comp))
             for (fname, fcomp), table in op.coefficients.items():
                 star = ext_sig.from_atom(ext_sig.atom(antifield_name(fname), fcomp))
-                q = ext_sig.zero()
+                q = []
                 for mindex, coeff in table.items():
                     term = jetcalc.apply_multi_derivative(
                         _transfer(coeff, ext_sig) * ghost, mindex
                     )
-                    q = q - term if sum(mindex) % 2 else q + term
-                proposal = proposal + star * q
-    master = LocalFunctional(Density(ext_theory, proposal))
+                    q.append(-term if sum(mindex) % 2 else term)
+                proposal.append(star * Expression.sum(ext_sig, q))
+    master = LocalFunctional(Density(ext_theory, Expression.sum(ext_sig, proposal)))
     return BVExtension(theory, ext_theory, tuple(pairs), master)
 
 
@@ -241,17 +240,17 @@ def antibracket_density(bv: BVExtension, f, g) -> Expression:
         parity_ghost_of(f)
     if g:
         parity_ghost_of(g)
-    result = sig.zero()
+    parts = []
     for (name, comp), (star, _) in bv.pairs():
         rf_phi = jetcalc.variational_derivative(f, name, comp, side="right")
         lg_star = jetcalc.variational_derivative(g, star, comp, side="left")
         if rf_phi and lg_star:
-            result = result + rf_phi * lg_star
+            parts.append(rf_phi * lg_star)
         rf_star = jetcalc.variational_derivative(f, star, comp, side="right")
         lg_phi = jetcalc.variational_derivative(g, name, comp, side="left")
         if rf_star and lg_phi:
-            result = result - rf_star * lg_phi
-    return result
+            parts.append(-(rf_star * lg_phi))
+    return Expression.sum(sig, parts)
 
 
 def antibracket(bv: BVExtension, f, g) -> LocalFunctional:
@@ -261,17 +260,16 @@ def antibracket(bv: BVExtension, f, g) -> LocalFunctional:
 
 def _apply_derivation(e: Expression, base_rules: Dict[Tuple[int, tuple], Expression]) -> Expression:
     """Extend atom-level assignments to a derivation commuting with D_i."""
-    sig = e.sig
-    result = sig.zero()
-    for atom in sorted(e.jet_atoms(), key=Atom.key):
+    parts = []
+    for atom in sorted(e.jet_atoms()):
         rule = base_rules.get((atom.gen, atom.comp))
         if rule is None:
             continue
         left = jetcalc.apply_multi_derivative(rule, atom.mindex)
         if left.is_zero():
             continue
-        result = result + left * partial_derivative(e, atom, "left")
-    return result
+        parts.append(left * partial_derivative(e, atom, "left"))
+    return Expression.sum(e.sig, parts)
 
 
 def koszul_tate_apply(bv: BVExtension, e: Expression) -> Expression:
@@ -287,14 +285,14 @@ def koszul_tate_apply(bv: BVExtension, e: Expression) -> Expression:
     for pair in bv.gauge:
         star_gid = sig.generator_id(antifield_name(pair.ghost.name))
         for ghost_comp, op in pair.operators.items():
-            image = sig.zero()
+            image = []
             for (fname, fcomp), table in op.coefficients.items():
                 star = sig.from_atom(sig.atom(antifield_name(fname), fcomp))
                 for mindex, coeff in table.items():
-                    image = image + _transfer(coeff, sig) * jetcalc.apply_multi_derivative(
-                        star, mindex
+                    image.append(
+                        _transfer(coeff, sig) * jetcalc.apply_multi_derivative(star, mindex)
                     )
-            rules[(star_gid, ghost_comp)] = image
+            rules[(star_gid, ghost_comp)] = Expression.sum(sig, image)
     return _apply_derivation(e, rules)
 
 

@@ -112,29 +112,24 @@ class Atom(NamedTuple):
     """One multiplicative symbol: a jet coordinate, variable, or parameter.
 
     ``gen`` is the generator's position in the signature, ``comp`` the
-    component tuple, and ``mindex`` the per-variable derivative counts
-    (symmetrized by representation, so D_i D_j = D_j D_i holds for free).
+    component tuple, ``order`` the total derivative order, and ``mindex`` the
+    per-variable derivative counts (symmetrized by representation, so
+    D_i D_j = D_j D_i holds for free).  ``order`` must equal ``sum(mindex)``;
+    the field layout then makes plain tuple comparison the canonical order.
     """
 
     gen: int
     comp: tuple
+    order: int
     mindex: tuple
-
-    @property
-    def order(self) -> int:
-        return sum(self.mindex)
-
-    def key(self):
-        """Canonical sort key: declaration order, component, total order, counts."""
-        return (self.gen, self.comp, sum(self.mindex), self.mindex)
 
 
 class Monomial(NamedTuple):
     """coefficient * product of even factors * ordered product of odd factors."""
 
     coeff: Fraction
-    even: tuple  # ((Atom, exponent), ...) sorted by atom key
-    odd: tuple  # (Atom, ...) sorted by atom key, distinct
+    even: tuple  # ((Atom, exponent), ...) sorted by atom
+    odd: tuple  # (Atom, ...) sorted, distinct
 
 
 class Signature:
@@ -168,6 +163,8 @@ class Signature:
     # -- structural identity ------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Signature) and self._key == other._key
 
     def __hash__(self):
@@ -230,7 +227,7 @@ class Signature:
                 raise UnknownGeneratorError(f"bad derivative multi-index {mindex} for {name!r}")
         if gen.role not in JET_ROLES and any(mindex):
             raise UnknownGeneratorError(f"{gen.role} {name!r} cannot carry derivatives")
-        return Atom(gid, comp, mindex)
+        return Atom(gid, comp, sum(mindex), mindex)
 
     def coord(self, name: str, comp: Sequence[int] = (), d: Sequence[str] = ()) -> "Expression":
         """Expression consisting of one atom; ``d`` lists variable names to derive by."""
@@ -266,7 +263,7 @@ class Signature:
         """Raise the derivative count of ``atom`` in the ``var_pos``-th variable."""
         m = list(atom.mindex)
         m[var_pos] += 1
-        return Atom(atom.gen, atom.comp, tuple(m))
+        return Atom(atom.gen, atom.comp, atom.order + 1, tuple(m))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +278,13 @@ def _merge_even(e1: tuple, e2: tuple):
     while i < n1 and j < n2:
         a1, x1 = e1[i]
         a2, x2 = e2[j]
-        k1, k2 = a1.key(), a2.key()
-        if k1 == k2:
+        if a1 == a2:
             x = x1 + x2
             if x != 0:
                 out.append((a1, x))
             i += 1
             j += 1
-        elif k1 < k2:
+        elif a1 < a2:
             out.append(e1[i])
             i += 1
         else:
@@ -310,16 +306,16 @@ def _merge_odd(o1: tuple, o2: tuple):
     n1, n2 = len(o1), len(o2)
     inversions = 0
     while i < n1 and j < n2:
-        k1, k2 = o1[i].key(), o2[j].key()
-        if k1 == k2:
+        a1, a2 = o1[i], o2[j]
+        if a1 == a2:
             return None, 0
-        if k1 < k2:
-            out.append(o1[i])
+        if a1 < a2:
+            out.append(a1)
             i += 1
         else:
             # o2[j] jumps over the n1-i remaining odd factors of o1
             inversions += n1 - i
-            out.append(o2[j])
+            out.append(a2)
             j += 1
     out.extend(o1[i:])
     out.extend(o2[j:])
@@ -330,14 +326,8 @@ def _mul_monomials(m1: Monomial, m2: Monomial):
     odd, sign = _merge_odd(m1.odd, m2.odd)
     if odd is None:
         return None
-    return Monomial(m1.coeff * m2.coeff * sign, _merge_even(m1.even, m2.even), odd)
-
-
-def _term_key(mono: Monomial):
-    return (
-        tuple((a.key(), x) for a, x in mono.even),
-        tuple(a.key() for a in mono.odd),
-    )
+    coeff = m1.coeff * m2.coeff
+    return Monomial(coeff if sign > 0 else -coeff, _merge_even(m1.even, m2.even), odd)
 
 
 class Expression:
@@ -370,12 +360,23 @@ class Expression:
         return Expression._from_map(sig, acc)
 
     @staticmethod
+    def sum(sig: Signature, parts: Iterable["Expression"]) -> "Expression":
+        """Normalized sum of many expressions: one accumulation, one sort."""
+
+        def terms():
+            for p in parts:
+                if p.sig != sig:
+                    raise GeneratorMismatchError("expressions belong to different theories")
+                yield from p.terms
+
+        return Expression.from_terms(sig, terms())
+
+    @staticmethod
     def _from_map(sig: Signature, acc: dict) -> "Expression":
-        terms = [
-            Monomial(c, even, odd) for (even, odd), c in acc.items() if c != 0
-        ]
-        terms.sort(key=_term_key)
-        return Expression(sig, tuple(terms))
+        live = [item for item in acc.items() if item[1] != 0]
+        # keys (even, odd) are unique, so the sort never reaches a coefficient
+        live.sort()
+        return Expression(sig, tuple(Monomial(c, even, odd) for (even, odd), c in live))
 
     # -- basic predicates ------------------------------------------------------
 
@@ -615,8 +616,8 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
             raise GradingViolationError(
                 f"replacement for atom of grading {want} is not homogeneous of that grading"
             )
-    result = sig.zero()
-    for m in e.terms:
+
+    def image(m: Monomial) -> Expression:
         acc = sig.const(m.coeff)
         for a, x in m.even:
             if x < 0:
@@ -631,17 +632,17 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
                 repl = sig.from_atom(a)
             acc = acc * repl ** x
             if acc.is_zero():
-                break
-        else:
-            for a in m.odd:
-                repl = bindings.get(a)
-                if repl is None:
-                    repl = sig.from_atom(a)
-                acc = acc * repl
-                if acc.is_zero():
-                    break
-        result = result + acc
-    return result
+                return acc
+        for a in m.odd:
+            repl = bindings.get(a)
+            if repl is None:
+                repl = sig.from_atom(a)
+            acc = acc * repl
+            if acc.is_zero():
+                return acc
+        return acc
+
+    return Expression.sum(sig, map(image, e.terms))
 
 
 def _param_power(sig: Signature, atom: Atom, exponent: int) -> Expression:

@@ -80,25 +80,21 @@ def total_derivative(e: Expression, var: VarRef) -> Expression:
 
 def _merge_one_even(even: tuple, atom: Atom) -> tuple:
     """Insert one even atom (exponent 1) into a sorted factor list."""
-    key = atom.key()
     for idx, (a, x) in enumerate(even):
-        k = a.key()
-        if k == key:
+        if a == atom:
             return even[:idx] + ((a, x + 1),) + even[idx + 1:]
-        if k > key:
+        if a > atom:
             return even[:idx] + ((atom, 1),) + even[idx:]
     return even + ((atom, 1),)
 
 
 def _insert_odd(others: tuple, atom: Atom, removed_at: int):
     """Place ``atom`` into the sorted tuple ``others``; None if it already occurs."""
-    key = atom.key()
     p = 0
     for a in others:
-        k = a.key()
-        if k == key:
+        if a == atom:
             return None
-        if k < key:
+        if a < atom:
             p += 1
         else:
             break
@@ -135,16 +131,15 @@ def variational_derivative(
     if gen.role not in JET_ROLES:
         raise UnknownGeneratorError(f"{name!r} is not a field, ghost, or antifield")
     comp = tuple(comp)
-    result = sig.zero()
+    parts = []
     for mindex in occurring_mindices(e, gid, comp):
-        partial = partial_derivative(e, Atom(gid, comp, mindex), side)
+        order = sum(mindex)
+        partial = partial_derivative(e, Atom(gid, comp, order, mindex), side)
         if partial.is_zero():
             continue
         term = apply_multi_derivative(partial, mindex)
-        if sum(mindex) % 2:
-            term = -term
-        result = result + term
-    return result
+        parts.append(-term if order % 2 else term)
+    return Expression.sum(sig, parts)
 
 
 def prolong_apply(
@@ -156,16 +151,16 @@ def prolong_apply(
     vector field assigns to that undifferentiated coordinate.
     """
     sig = e.sig
-    result = sig.zero()
+    parts = []
     for (name, comp), q in characteristics.items():
         gid = sig.generator_id(name)
         comp = tuple(comp)
         for mindex in occurring_mindices(e, gid, comp):
-            partial = partial_derivative(e, Atom(gid, comp, mindex), "left")
+            partial = partial_derivative(e, Atom(gid, comp, sum(mindex), mindex), "left")
             if partial.is_zero():
                 continue
-            result = result + apply_multi_derivative(q, mindex) * partial
-    return result
+            parts.append(apply_multi_derivative(q, mindex) * partial)
+    return Expression.sum(sig, parts)
 
 
 def is_total_divergence(e: Expression) -> bool:
@@ -189,13 +184,12 @@ def ibp_equal(e1: Expression, e2: Expression) -> bool:
 def _antiderivative_even(e: Expression, atom: Atom) -> Expression:
     """Formal antiderivative of ``e`` in one even atom: b^k -> b^(k+1)/(k+1)."""
     sig = e.sig
-    key = atom.key()
     out = []
     for m in e.terms:
         placed = False
         even = list(m.even)
         for idx, (a, x) in enumerate(even):
-            if a.key() == key:
+            if a == atom:
                 even[idx] = (a, x + 1)
                 out.append(Monomial(m.coeff / (x + 1), tuple(even), m.odd))
                 placed = True
@@ -229,20 +223,20 @@ def divergence_witness(e: Expression) -> dict:
     if not is_total_divergence(e):
         raise NotADivergenceError("density is not a total divergence")
 
-    witness = sig.zero()
+    blocks = []
     remainder = e
     for _ in range(_WITNESS_BUDGET):
         jets = remainder.jet_atoms()
         if not jets:
             break
         r = max(a.order for a in jets)
-        top = max((a for a in jets if a.order == r), key=Atom.key)
+        top = max(a for a in jets if a.order == r)
         coeff = partial_derivative(remainder, top, "left")
         if top in coeff.atoms() or coeff.max_jet_order() > r - 1:
             raise NotADivergenceError(
                 "top jet coordinate does not enter linearly; no witness exists"
             )
-        below = Atom(top.gen, top.comp, (r - 1,))
+        below = Atom(top.gen, top.comp, r - 1, (r - 1,))
         if sig.atom_grading(top).parity == ODD:
             if below in coeff.atoms():
                 raise NotADivergenceError(
@@ -251,12 +245,12 @@ def divergence_witness(e: Expression) -> dict:
             block = sig.from_atom(below) * coeff
         else:
             block = _antiderivative_even(coeff, below)
-        witness = witness + block
+        blocks.append(block)
         remainder = remainder - total_derivative(block, 0)
     else:
         raise NotADivergenceError("witness construction exceeded its budget")
 
     if remainder:
         var_atom = sig.atom(sig.variables[0].name)
-        witness = witness + _antiderivative_even(remainder, var_atom)
-    return {sig.variables[0].name: witness}
+        blocks.append(_antiderivative_even(remainder, var_atom))
+    return {sig.variables[0].name: Expression.sum(sig, blocks)}

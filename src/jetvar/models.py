@@ -180,8 +180,9 @@ def _check_newton_equation(desc: ModelDescriptor) -> bool:
     from .core import partial_derivative
 
     for i in (1, 2, 3):
-        expected = -(m * sig.coord("u", (i,), d=("t", "t")))
-        expected = expected - partial_derivative(potential, sig.atom("u", (i,)))
+        expected = -(m * sig.coord("u", (i,), d=("t", "t"))) - partial_derivative(
+            potential, sig.atom("u", (i,))
+        )
         if el[("u", (i,))] != expected:
             return False
     return True

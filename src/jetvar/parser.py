@@ -156,10 +156,15 @@ class Node:
 class _Parser:
     """Recursive-descent expression parser producing index-carrying ASTs."""
 
+    # deepest nesting of '(' and 'd(' accepted; parsing and evaluating recurse
+    # a few frames per level, so deeper input would hit Python's recursion limit
+    MAX_NESTING = 100
+
     def __init__(self, tokens: List[Token], allow_el: bool = False):
         self.tokens = tokens
         self.pos = 0
         self.allow_el = allow_el
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -241,7 +246,7 @@ class _Parser:
             return Node("num", value, tok.line, tok.col)
         if tok.kind == "(":
             self.next()
-            inner = self.parse_expr()
+            inner = self.parse_nested()
             self.expect(")")
             return inner
         if tok.kind == "name":
@@ -250,7 +255,7 @@ class _Parser:
                 if self.tokens[self.pos + 1].kind == "(":
                     self.next()
                     self.expect("(")
-                    body = self.parse_expr()
+                    body = self.parse_nested()
                     self.expect(";")
                     slot = self.parse_index()
                     self.expect(")")
@@ -280,6 +285,18 @@ class _Parser:
             tok.col,
             expected=["a rational", "an identifier", "'('"],
         )
+
+    def parse_nested(self) -> Node:
+        """An expression inside '(' or 'd(', one level deeper than the caller."""
+        if self.depth >= self.MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(
+                f"expression nested deeper than {self.MAX_NESTING} levels", tok.line, tok.col
+            )
+        self.depth += 1
+        node = self.parse_expr()
+        self.depth -= 1
+        return node
 
     def parse_indices(self) -> List[Index]:
         self.expect("[")
@@ -447,10 +464,9 @@ class Expander:
     def _eval(self, node: Node, env) -> Expression:
         kind = node.kind
         if kind == "sum":
-            total = self.sig.zero()
-            for sign, term in node.data:
-                total = total + self._eval(term, env) * sign
-            return total
+            return Expression.sum(
+                self.sig, [self._eval(term, env) * sign for sign, term in node.data]
+            )
         if kind == "mul":
             return self._eval_product(node.data, env, node)
         return self._eval_product([node], env, node)
@@ -512,15 +528,15 @@ class Expander:
             yield env2, factor
 
     def _eval_product(self, factors, env, node) -> Expression:
-        total = self.sig.zero()
+        parts = []
         for env2, metric in self._contractions(factors, env, node):
             acc = self.sig.const(metric)
             for f in factors:
                 acc = acc * self._eval_factor(f, env2)
                 if acc.is_zero():
                     break
-            total = total + acc
-        return total
+            parts.append(acc)
+        return Expression.sum(self.sig, parts)
 
     def _eval_factor(self, node: Node, env) -> Expression:
         kind = node.kind

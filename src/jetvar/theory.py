@@ -301,14 +301,15 @@ def noether_residual(theory: Theory, op: NoetherOperator) -> Expression:
     if op.theory.signature != theory.signature:
         raise GeneratorMismatchError("operator belongs to a different theory")
     el = euler_lagrange_system(theory)
-    result = theory.signature.zero()
-    for key, table in op.coefficients.items():
-        base = el[key]
-        if base.is_zero():
-            continue
-        for mindex, coeff in table.items():
-            result = result + coeff * jetcalc.apply_multi_derivative(base, mindex)
-    return result
+    return Expression.sum(
+        theory.signature,
+        (
+            coeff * jetcalc.apply_multi_derivative(el[key], mindex)
+            for key, table in op.coefficients.items()
+            if el[key]
+            for mindex, coeff in table.items()
+        ),
+    )
 
 
 def is_noether_identity(theory: Theory, op: NoetherOperator) -> bool:
@@ -378,7 +379,8 @@ def on_shell_reduce(
             continue
         lead, rhs = _solve_for_leading(name, comp, el)
         for mindex in _all_mindices(sig.nvars, max(0, max_order - lead.order)):
-            shifted = Atom(lead.gen, lead.comp, tuple(a + b for a, b in zip(lead.mindex, mindex)))
+            counts = tuple(a + b for a, b in zip(lead.mindex, mindex))
+            shifted = Atom(lead.gen, lead.comp, sum(counts), counts)
             if shifted not in rules:
                 rules[shifted] = jetcalc.apply_multi_derivative(rhs, mindex)
     steps = 0
@@ -482,7 +484,7 @@ def integrate_on_box(
             gid = sig.generator_id(name)
             if sig.generators[gid].role != PARAM:
                 raise UnknownGeneratorError(f"{name!r} is not a parameter")
-            bindings[Atom(gid, (), (0,) * sig.nvars)] = sig.const(Fraction(v))
+            bindings[sig.atom(name)] = sig.const(Fraction(v))
         value = substitute(value, bindings)
     try:
         return value.constant_value()

@@ -4,6 +4,7 @@ import io
 import pathlib
 
 from jetvar.cli import cli_dispatch
+from jetvar.parser import _Parser
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -88,6 +89,32 @@ def test_parse_error_exit_code():
     code, text = run("divergence", str(MODELS / "free.jv"), "--expr", "d(u;t")
     assert code == 2
     assert "parse error" in text
+
+
+def _nested_model(tmp_path, body):
+    path = tmp_path / "nested.jv"
+    path.write_text(
+        "vars t\nmetric diag(1)\nparams m\nfield u\n"
+        f"lagrangian 1/2 * m * {body}^2\n"
+    )
+    return str(path)
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path):
+    depth = 3000
+    code, text = run("el", _nested_model(tmp_path, "(" * depth + "d(u;t)" + ")" * depth))
+    assert code == 2
+    assert text.startswith("parse error:")
+    assert "nested deeper than" in text
+
+
+def test_nesting_up_to_the_limit_parses(tmp_path):
+    depth = _Parser.MAX_NESTING
+    code, text = run("el", _nested_model(tmp_path, "d(" * depth + "u" + ";t)" * depth))
+    assert code == 0
+    assert text.startswith("EL[u] = m * " + "d(" * (2 * depth))
+    code, text = run("el", _nested_model(tmp_path, "(" * depth + "d(u;t)" + ")" * depth))
+    assert code == 2
 
 
 def test_usage_error_exit_code():

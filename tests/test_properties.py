@@ -1,0 +1,174 @@
+"""Property tests of the kernel's canonical order, sum accumulator and atom invariant."""
+
+import functools
+import operator
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from jetvar import jetcalc  # noqa: E402
+from jetvar.core import (  # noqa: E402
+    FIELD,
+    GHOST,
+    JET_ROLES,
+    ODD,
+    PARAM,
+    VAR,
+    Expression,
+    Generator,
+    Grading,
+    Signature,
+    substitute,
+)
+from jetvar.errors import GeneratorMismatchError  # noqa: E402
+from jetvar.theory import Theory, on_shell_reduce  # noqa: E402
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+def _signature(n: int) -> Signature:
+    """n variables, a parameter, even fields, an odd field and an odd ghost."""
+    return Signature(
+        [Generator(v, VAR) for v in ("t", "x", "y")[:n]]
+        + [
+            Generator("m", PARAM),
+            Generator("u", FIELD, ((1, 2),)),
+            Generator("v", FIELD),
+            Generator("psi", FIELD, grading=Grading(ODD, 0)),
+            Generator("c", GHOST, ((1, 2),), grading=Grading(ODD, 1)),
+        ],
+        [1] + [-1] * (n - 1),
+    )
+
+
+SIGS = {n: _signature(n) for n in (1, 2, 3)}
+
+
+def _old_atom_key(a):
+    # the sort key the kernel used before atoms stored their order
+    return (a.gen, a.comp, sum(a.mindex), a.mindex)
+
+
+def _old_term_key(mono):
+    return (
+        tuple((_old_atom_key(a), x) for a, x in mono.even),
+        tuple(_old_atom_key(a) for a in mono.odd),
+    )
+
+
+def _assert_orders(e: Expression):
+    for a in e.atoms():
+        assert a.order == sum(a.mindex), a
+
+
+@st.composite
+def atoms(draw, sig, names=None):
+    gens = [g for g in sig.generators if names is None or g.name in names]
+    gen = draw(st.sampled_from(gens))
+    comp = tuple(draw(st.integers(lo, hi)) for lo, hi in gen.index_ranges)
+    mindex = None
+    if gen.role in JET_ROLES:
+        mindex = draw(st.tuples(*[st.integers(0, 3)] * sig.nvars))
+    atom = sig.atom(gen.name, comp, mindex)
+    if gen.role in JET_ROLES and draw(st.booleans()):
+        atom = sig.shift_atom(atom, draw(st.integers(0, sig.nvars - 1)))
+    return atom
+
+
+coefficients = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)
+)
+
+
+@st.composite
+def expressions(draw, sig, names=None, max_terms=4):
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        term = sig.const(draw(coefficients))
+        for a in draw(st.lists(atoms(sig, names), max_size=3)):
+            term = term * sig.from_atom(a)
+        terms.append(term)
+    return functools.reduce(operator.add, terms, sig.zero())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_native_atom_order_is_the_old_key_order(n, data):
+    sig = SIGS[n]
+    drawn = data.draw(st.lists(atoms(sig), max_size=12))
+    assert sorted(drawn) == sorted(drawn, key=_old_atom_key)
+    for a in drawn:
+        assert a.order == sum(a.mindex)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_sum_equals_left_fold(n, data):
+    sig = SIGS[n]
+    parts = data.draw(st.lists(expressions(sig), max_size=6))
+    # cancelling parts: negations and rescalings of parts already drawn
+    if parts:
+        for p in data.draw(st.lists(st.sampled_from(parts), max_size=3)):
+            parts.append(p * data.draw(st.sampled_from([-1, Fraction(-1, 2), 2])))
+    parts = data.draw(st.permutations(parts))
+    total = Expression.sum(sig, parts)
+    assert total == functools.reduce(operator.add, parts, sig.zero())
+    assert total.terms == tuple(sorted(total.terms, key=_old_term_key))
+
+
+def test_sum_edge_cases():
+    sig = SIGS[1]
+    assert Expression.sum(sig, []) == sig.zero()
+    psi = sig.coord("psi")
+    assert Expression.sum(sig, iter([psi, -psi])).is_zero()
+    with pytest.raises(GeneratorMismatchError):
+        Expression.sum(sig, [SIGS[2].coord("psi")])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_total_derivative_keeps_order_invariant(n, data):
+    sig = SIGS[n]
+    e = data.draw(expressions(sig))
+    pos = data.draw(st.integers(0, n - 1))
+    d = jetcalc.total_derivative(e, pos)
+    _assert_orders(d)
+    assert d.max_jet_order() <= e.max_jet_order() + 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_substitute_keeps_order_invariant(n, data):
+    sig = SIGS[n]
+    e = data.draw(expressions(sig))
+    even = ("t", "x", "m", "u", "v")
+    bindings = {}
+    for a in sorted(e.jet_atoms()):
+        if sig.generators[a.gen].name in ("u", "v") and data.draw(st.booleans()):
+            # u and v are even of ghost number 0, and so is every product of even atoms
+            bindings[a] = data.draw(expressions(sig, even, max_terms=2))
+    _assert_orders(substitute(e, bindings))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_on_shell_reduce_keeps_order_invariant(data):
+    # the wave equation: every u_tt... rewrites to x-derivatives
+    sig = _signature(2)
+    ut = [sig.coord("u", (k,), d=("t",)) for k in (1, 2)]
+    ux = [sig.coord("u", (k,), d=("x",)) for k in (1, 2)]
+    lagrangian = Expression.sum(sig, [(a * a - b * b) / 2 for a, b in zip(ut, ux)])
+    theory = Theory(sig, lagrangian)
+    e = data.draw(expressions(sig, ("t", "x", "m", "u", "v", "psi")))
+    reduced = on_shell_reduce(e, theory, 4)
+    _assert_orders(reduced)
+    for a in reduced.jet_atoms():
+        if sig.generators[a.gen].name == "u" and a.order <= 4:
+            assert a.mindex[0] < 2, a
