@@ -30,7 +30,6 @@ from .core import (
     Grading,
     Signature,
     parity_ghost_of,
-    partial_derivative,
 )
 from . import jetcalc
 from .errors import (
@@ -46,6 +45,7 @@ from .theory import (
     LocalFunctional,
     NoetherOperator,
     Theory,
+    _transfer,
     euler_lagrange_system,
     noether_residual,
     on_shell_reduce,
@@ -59,16 +59,6 @@ def antifield_name(name: str) -> str:
 def antifield_grading(g: Grading, role: str) -> Grading:
     afn = 1 if role == FIELD else 2
     return Grading((g.parity + 1) % 2, -g.ghost - 1, afn)
-
-
-def _transfer(e: Expression, sig: Signature) -> Expression:
-    """Reinterpret an expression over a signature that extends its own."""
-    if e.sig == sig:
-        return e
-    n = len(e.sig.generators)
-    if sig.generators[:n] != e.sig.generators or sig.metric != e.sig.metric:
-        raise GeneratorMismatchError("expression does not embed into the extended theory")
-    return Expression(sig, e.terms)
 
 
 @dataclass(frozen=True)
@@ -258,42 +248,24 @@ def antibracket(bv: BVExtension, f, g) -> LocalFunctional:
     return LocalFunctional(Density(bv.theory, antibracket_density(bv, f, g)))
 
 
-def _apply_derivation(e: Expression, base_rules: Dict[Tuple[int, tuple], Expression]) -> Expression:
-    """Extend atom-level assignments to a derivation commuting with D_i."""
-    parts = []
-    for atom in sorted(e.jet_atoms()):
-        rule = base_rules.get((atom.gen, atom.comp))
-        if rule is None:
-            continue
-        left = jetcalc.apply_multi_derivative(rule, atom.mindex)
-        if left.is_zero():
-            continue
-        parts.append(left * partial_derivative(e, atom, "left"))
-    return Expression.sum(e.sig, parts)
-
-
 def koszul_tate_apply(bv: BVExtension, e: Expression) -> Expression:
     """The Koszul-Tate differential: antifields to EL expressions, antighosts
     to the Noether combination of antifields, fields and ghosts to zero."""
     sig = bv.signature
     e = _as_expression(e, sig)
-    rules: Dict[Tuple[int, tuple], Expression] = {}
-    el = euler_lagrange_system(bv.base)
-    for (fname, fcomp), expr in el.items():
-        gid = sig.generator_id(antifield_name(fname))
-        rules[(gid, fcomp)] = _transfer(expr, sig)
+    chars = {
+        (antifield_name(name), comp): _transfer(expr, sig)
+        for (name, comp), expr in euler_lagrange_system(bv.base).items()
+    }
+    stars = {
+        (name, comp): sig.from_atom(sig.atom(antifield_name(name), comp))
+        for name, comp in bv.base.field_components()
+    }
     for pair in bv.gauge:
-        star_gid = sig.generator_id(antifield_name(pair.ghost.name))
+        star = antifield_name(pair.ghost.name)
         for ghost_comp, op in pair.operators.items():
-            image = []
-            for (fname, fcomp), table in op.coefficients.items():
-                star = sig.from_atom(sig.atom(antifield_name(fname), fcomp))
-                for mindex, coeff in table.items():
-                    image.append(
-                        _transfer(coeff, sig) * jetcalc.apply_multi_derivative(star, mindex)
-                    )
-            rules[(star_gid, ghost_comp)] = Expression.sum(sig, image)
-    return _apply_derivation(e, rules)
+            chars[(star, ghost_comp)] = op.apply(stars, sig)
+    return jetcalc.prolong_apply(chars, e)
 
 
 def hamiltonian_derivation(bv: BVExtension, f, e: Expression) -> Expression:
@@ -304,15 +276,15 @@ def hamiltonian_derivation(bv: BVExtension, f, e: Expression) -> Expression:
     """
     sig = bv.signature
     f = _as_expression(f, sig)
-    rules: Dict[Tuple[int, tuple], Expression] = {}
+    chars: Dict[Component, Expression] = {}
     for (name, comp), (star, _) in bv.pairs():
         rf_phi = jetcalc.variational_derivative(f, name, comp, side="right")
         if rf_phi:
-            rules[(sig.generator_id(star), comp)] = rf_phi
+            chars[(star, comp)] = rf_phi
         rf_star = jetcalc.variational_derivative(f, star, comp, side="right")
         if rf_star:
-            rules[(sig.generator_id(name), comp)] = -rf_star
-    return _apply_derivation(_as_expression(e, sig), rules)
+            chars[(name, comp)] = -rf_star
+    return jetcalc.prolong_apply(chars, _as_expression(e, sig))
 
 
 def brst_apply(bv: BVExtension, e: Expression) -> Expression:

@@ -111,11 +111,6 @@ def apply_multi_derivative(e: Expression, mindex: Sequence[int]) -> Expression:
     return e
 
 
-def occurring_mindices(e: Expression, gid: int, comp: tuple) -> list:
-    seen = {a.mindex for a in e.jet_atoms() if a.gen == gid and a.comp == comp}
-    return sorted(seen)
-
-
 def variational_derivative(
     e: Expression, name: str, comp: Sequence[int] = (), side: str = "left"
 ) -> Expression:
@@ -132,34 +127,38 @@ def variational_derivative(
         raise UnknownGeneratorError(f"{name!r} is not a field, ghost, or antifield")
     comp = tuple(comp)
     parts = []
-    for mindex in occurring_mindices(e, gid, comp):
-        order = sum(mindex)
-        partial = partial_derivative(e, Atom(gid, comp, order, mindex), side)
+    for atom in e.jet_atoms():
+        if atom.gen != gid or atom.comp != comp:
+            continue
+        partial = partial_derivative(e, atom, side)
         if partial.is_zero():
             continue
-        term = apply_multi_derivative(partial, mindex)
-        parts.append(-term if order % 2 else term)
+        term = apply_multi_derivative(partial, atom.mindex)
+        parts.append(-term if atom.order % 2 else term)
     return Expression.sum(sig, parts)
 
 
 def prolong_apply(
     characteristics: Mapping[Tuple[str, tuple], Expression], e: Expression
 ) -> Expression:
-    """Apply the prolongation of an evolutionary vector field to ``e``.
+    """Apply the evolutionary derivation with the given characteristics to ``e``.
 
-    ``characteristics`` maps (generator name, component) to the expression the
-    vector field assigns to that undifferentiated coordinate.
+    ``characteristics`` maps (generator name, component) to the expression Q
+    assigned to that undifferentiated coordinate; the result is the sum over
+    jet atoms u_alpha of D_alpha(Q) * dL e/du_alpha, the derivation that
+    commutes with every D_i (a symmetry's prolongation, d_KT and X_F alike).
     """
     sig = e.sig
+    by_id = {(sig.generator_id(n), tuple(c)): q for (n, c), q in characteristics.items()}
     parts = []
-    for (name, comp), q in characteristics.items():
-        gid = sig.generator_id(name)
-        comp = tuple(comp)
-        for mindex in occurring_mindices(e, gid, comp):
-            partial = partial_derivative(e, Atom(gid, comp, sum(mindex), mindex), "left")
-            if partial.is_zero():
-                continue
-            parts.append(apply_multi_derivative(q, mindex) * partial)
+    for atom in e.jet_atoms():
+        q = by_id.get((atom.gen, atom.comp))
+        if not q:
+            continue
+        partial = partial_derivative(e, atom, "left")
+        if partial.is_zero():
+            continue
+        parts.append(apply_multi_derivative(q, atom.mindex) * partial)
     return Expression.sum(sig, parts)
 
 

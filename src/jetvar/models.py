@@ -16,8 +16,8 @@ from .theory import (
     EvolutionaryVF,
     Theory,
     euler_lagrange_system,
+    is_noether_identity,
     is_symmetry,
-    noether_residual,
 )
 
 _VAR_NAMES = ("t", "x", "y", "z")
@@ -195,11 +195,11 @@ def _check_el_nontrivial(desc: ModelDescriptor) -> bool:
 def _check_noether_identity(desc: ModelDescriptor) -> bool:
     if desc.bv is None or not desc.bv.gauge:
         return False
-    for pair in desc.bv.gauge:
-        for op in pair.operators.values():
-            if not noether_residual(desc.theory, op).is_zero():
-                return False
-    return True
+    return all(
+        is_noether_identity(desc.theory, op)
+        for pair in desc.bv.gauge
+        for op in pair.operators.values()
+    )
 
 
 def _check_gauge_symmetry(desc: ModelDescriptor) -> bool:

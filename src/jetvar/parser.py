@@ -135,7 +135,7 @@ def tokenize(text: str, line: int = 1, col0: int = 1) -> List[Token]:
 
 @dataclass(frozen=True)
 class Index:
-    """One bracket или derivative slot: an integer, a variable, or a letter."""
+    """One bracket or derivative slot: an integer, a variable, or a letter."""
 
     kind: str  # 'int' | 'letter'
     value: Union[int, str]
@@ -184,9 +184,6 @@ class _Parser:
                 expected=[kind],
             )
         return self.next()
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
 
     # grammar ----------------------------------------------------------------
 
@@ -345,6 +342,7 @@ class Expander:
         self.defs = defs or {}
         self.operator_mode = operator_mode
         self._def_stack: List[str] = []
+        self._sums = 0  # sum nodes open in the letter analysis
 
     # -- letter analysis ------------------------------------------------------
 
@@ -433,17 +431,31 @@ class Expander:
                     out.setdefault(k, []).extend(v)
             return out
         if kind == "sum":
-            exposed = None
-            for _, term in node.data:
-                letters = self._letter_slots(term)
-                over = {k for k, v in letters.items() if len(v) == 1}
-                if exposed is None:
-                    exposed = {k: letters[k] for k in over}
-                elif set(exposed) != over:
-                    raise ParseError(
-                        "summands expose different free index letters", node.line, node.col
-                    )
-            return exposed or {}
+            # one sum node per '(' or 'd(' level and per expanded def body, which
+            # counts as if written inline in parentheses; letters are analysed
+            # before every evaluation, so this also bounds evaluation depth
+            if self._sums > _Parser.MAX_NESTING:
+                raise ParseError(
+                    f"expression nested deeper than {_Parser.MAX_NESTING} levels "
+                    "with defs expanded",
+                    node.line,
+                    node.col,
+                )
+            self._sums += 1
+            try:
+                exposed = None
+                for _, term in node.data:
+                    letters = self._letter_slots(term)
+                    over = {k for k, v in letters.items() if len(v) == 1}
+                    if exposed is None:
+                        exposed = {k: letters[k] for k in over}
+                    elif set(exposed) != over:
+                        raise ParseError(
+                            "summands expose different free index letters", node.line, node.col
+                        )
+                return exposed or {}
+            finally:
+                self._sums -= 1
         raise AssertionError(f"unhandled node {kind}")
 
     def _is_variable(self, name: str) -> bool:

@@ -48,9 +48,13 @@ Component = Tuple[str, tuple]
 
 
 class Theory:
-    """Independent variables with a metric, generators, and a Lagrangian."""
+    """Independent variables with a metric, generators, and a Lagrangian.
 
-    __slots__ = ("signature", "lagrangian")
+    Immutable.  ``euler_lagrange_system`` fills ``_el`` on first use; threads
+    racing to fill it store equal values, so sharing needs no synchronization.
+    """
+
+    __slots__ = ("signature", "lagrangian", "_el")
 
     def __init__(self, signature: Signature, lagrangian: Expression):
         if lagrangian.sig != signature:
@@ -59,8 +63,12 @@ class Theory:
             raise GradingViolationError(
                 "the lagrangian must be even with ghost number 0 and antifield number 0"
             )
-        self.signature = signature
-        self.lagrangian = lagrangian
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "lagrangian", lagrangian)
+        object.__setattr__(self, "_el", None)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Theory is immutable")
 
     def __eq__(self, other):
         return (
@@ -206,6 +214,16 @@ class EvolutionaryVF:
         self.shift = shift if shift is not None else (0, 0, 0)
 
 
+def _transfer(e: Expression, sig: Signature) -> Expression:
+    """Reinterpret an expression over a signature that extends its own."""
+    if e.sig == sig:
+        return e
+    n = len(e.sig.generators)
+    if sig.generators[:n] != e.sig.generators or sig.metric != e.sig.metric:
+        raise GeneratorMismatchError("expression does not embed into the extended theory")
+    return Expression(sig, e.terms)
+
+
 @dataclass
 class NoetherOperator:
     """A linear differential operator to be paired against the EL system.
@@ -236,6 +254,16 @@ class NoetherOperator:
             if entry:
                 clean[(name, tuple(comp))] = entry
         self.coefficients = clean
+
+    def apply(self, values: Mapping[Component, Expression], sig: Signature) -> Expression:
+        """Sum of coeff * D_alpha(values[component]), over ``sig`` extending ours."""
+        parts = (
+            _transfer(coeff, sig) * jetcalc.apply_multi_derivative(values[key], mindex)
+            for key, table in self.coefficients.items()
+            if values[key]
+            for mindex, coeff in table.items()
+        )
+        return Expression.sum(sig, parts)
 
 
 @dataclass
@@ -281,11 +309,17 @@ class Section:
 
 
 def euler_lagrange_system(theory: Theory) -> Dict[Component, Expression]:
-    """The full EL system: generators of the Euler-Lagrange ideal."""
-    return {
-        (name, comp): jetcalc.variational_derivative(theory.lagrangian, name, comp)
-        for name, comp in theory.field_components()
-    }
+    """The full EL system: generators of the Euler-Lagrange ideal.
+
+    Computed once per theory; every call returns a new dict.
+    """
+    if theory._el is None:
+        el = {
+            (name, comp): jetcalc.variational_derivative(theory.lagrangian, name, comp)
+            for name, comp in theory.field_components()
+        }
+        object.__setattr__(theory, "_el", el)
+    return dict(theory._el)
 
 
 def is_symmetry(theory: Theory, vf: EvolutionaryVF) -> bool:
@@ -300,16 +334,7 @@ def noether_residual(theory: Theory, op: NoetherOperator) -> Expression:
     """Pair the operator against the EL system; zero residual = Noether identity."""
     if op.theory.signature != theory.signature:
         raise GeneratorMismatchError("operator belongs to a different theory")
-    el = euler_lagrange_system(theory)
-    return Expression.sum(
-        theory.signature,
-        (
-            coeff * jetcalc.apply_multi_derivative(el[key], mindex)
-            for key, table in op.coefficients.items()
-            if el[key]
-            for mindex, coeff in table.items()
-        ),
-    )
+    return op.apply(euler_lagrange_system(theory), theory.signature)
 
 
 def is_noether_identity(theory: Theory, op: NoetherOperator) -> bool:

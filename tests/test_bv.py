@@ -33,8 +33,9 @@ from jetvar.errors import (
     InhomogeneousExpressionError,
     NotAnIdentityError,
 )
-from jetvar.models import builtin
-from jetvar.theory import NoetherOperator, Theory
+from jetvar.models import builtin, model_source
+from jetvar.parser import parse_model
+from jetvar.theory import NoetherOperator, Theory, euler_lagrange_system, noether_residual
 
 from conftest import homogeneous_pick
 
@@ -226,12 +227,38 @@ class TestAntibracket:
             assert jetcalc.ibp_equal(lhs, rhs)
 
 
+def test_el_system_is_computed_once(monkeypatch):
+    calls = []
+    original = jetcalc.variational_derivative
+
+    def counted(e, name, comp=(), side="left"):
+        calls.append((name, tuple(comp)))
+        return original(e, name, comp, side)
+
+    monkeypatch.setattr(jetcalc, "variational_derivative", counted)
+    bv = parse_model(model_source("yang_mills_su2", dim=2))
+    theory = bv.base
+    sig = bv.signature
+    assert koszul_tate_apply(bv, sig.coord("C*", (1,)))
+    assert noether_residual(theory, bv.gauge[0].operators[(1,)]).is_zero()
+    # one variational derivative per field component, A[1..3, 0..1]
+    assert sorted(calls) == sorted(theory.field_components())
+    assert len(calls) == 6
+
+    first = euler_lagrange_system(theory)
+    snapshot = dict(first)
+    first[("A", (1, 0))] = theory.signature.zero()
+    first.pop(("A", (2, 1)))
+    assert euler_lagrange_system(theory) == snapshot
+    assert len(calls) == 6
+    with pytest.raises(AttributeError):
+        theory.lagrangian = theory.lagrangian
+
+
 class TestKoszulTate:
     def test_antifield_maps_to_el(self):
         bv = builtin("maxwell", dim=2).bv
         sig = bv.signature
-        from jetvar.theory import euler_lagrange_system
-
         el = euler_lagrange_system(bv.base)
         for mu in (0, 1):
             out = koszul_tate_apply(bv, sig.from_atom(sig.atom("A*", (mu,))))

@@ -117,6 +117,45 @@ def test_nesting_up_to_the_limit_parses(tmp_path):
     assert code == 2
 
 
+def _def_model(tmp_path, defs, lagrangian):
+    path = tmp_path / "defs.jv"
+    path.write_text("vars t\nfield u\n" + "".join(defs) + f"lagrangian {lagrangian}\n")
+    return str(path)
+
+
+def _def_chain(tmp_path, length):
+    # def f1 = f0, def f2 = f1, ...: each reference expands one more level
+    defs = ["def f0 = u*u\n"] + [f"def f{i} = f{i - 1}\n" for i in range(1, length)]
+    return _def_model(tmp_path, defs, f"f{length - 1}")
+
+
+def test_deep_def_chain_is_a_parse_error(tmp_path):
+    code, text = run("el", _def_chain(tmp_path, 150))
+    assert code == 2
+    assert text.startswith("parse error:")
+    assert "nested deeper than" in text
+
+
+def test_deeply_nested_def_bodies_are_a_parse_error(tmp_path):
+    # every body is within the parser's limit; inlined, the chain is not
+    def wrap(inner):
+        return "(" * 90 + inner + ")" * 90
+
+    defs = ["def g0 = " + wrap("u*u") + "\n"]
+    defs += [f"def g{i} = " + wrap(f"g{i - 1}") + "\n" for i in range(1, 8)]
+    code, text = run("el", _def_model(tmp_path, defs, "g7"))
+    assert code == 2
+    assert text.startswith("parse error:")
+    assert "nested deeper than" in text
+
+
+def test_def_chain_up_to_the_limit_parses(tmp_path):
+    code, text = run("el", _def_chain(tmp_path, _Parser.MAX_NESTING))
+    assert (code, text) == (0, "EL[u] = 2 * u\n")
+    code, _ = run("el", _def_chain(tmp_path, _Parser.MAX_NESTING + 1))
+    assert code == 2
+
+
 def test_usage_error_exit_code():
     code, _ = run("divergence", str(MODELS / "free.jv"))
     assert code == 2

@@ -109,6 +109,11 @@ class TestProlong:
         out = jetcalc.prolong_apply({("u", ()): ut}, mech.lagrangian)
         assert out == m * ut * utt
 
+    def test_unknown_characteristic_target(self, mech):
+        # names are resolved up front, even when the density never mentions them
+        with pytest.raises(UnknownGeneratorError):
+            jetcalc.prolong_apply({("w", ()): mech.signature.one()}, mech.lagrangian)
+
     def test_prolongation_is_derivation(self, plane_sig):
         rng = random.Random(37)
         q = random_expression(plane_sig, rng, max_order=1, roles=(FIELD,))

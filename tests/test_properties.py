@@ -1,4 +1,5 @@
-"""Property tests of the kernel's canonical order, sum accumulator and atom invariant."""
+"""Property tests of the kernel's canonical order, sum accumulator and atom
+invariant, and of the evolutionary derivation behind prolongations, d_KT and X_F."""
 
 import functools
 import operator
@@ -10,7 +11,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from jetvar import jetcalc  # noqa: E402
+from jetvar.bv import antifield_grading, antifield_name  # noqa: E402
 from jetvar.core import (  # noqa: E402
+    ANTIFIELD,
     FIELD,
     GHOST,
     JET_ROLES,
@@ -172,3 +175,65 @@ def test_on_shell_reduce_keeps_order_invariant(data):
     for a in reduced.jet_atoms():
         if sig.generators[a.gen].name == "u" and a.order <= 4:
             assert a.mindex[0] < 2, a
+
+
+def _bv_signature(n: int) -> Signature:
+    """``_signature(n)`` with the antifields of u (odd) and of c (even, ghost -2)."""
+    base = _signature(n)
+    extra = []
+    for name in ("u", "c"):
+        gen = base.generator(name)
+        grading = antifield_grading(gen.grading, gen.role)
+        extra.append(Generator(antifield_name(name), ANTIFIELD, gen.index_ranges, grading))
+    return Signature(list(base.generators) + extra, base.metric)
+
+
+BV_SIGS = {n: _bv_signature(n) for n in (1, 2)}
+
+
+def _of_parity(e: Expression, parity: int) -> Expression:
+    """The part of ``e`` of one parity; zero counts as either."""
+    return Expression(e.sig, tuple(m for m in e.terms if e.monomial_grading(m).parity == parity))
+
+
+def _characteristics(data, sig, shift):
+    """Characteristics on fields, the odd ghost and both antifields, each of
+    parity (target parity + shift), so they define a derivation of parity shift."""
+    targets = [
+        (gen.name, comp)
+        for _, gen in sig.jet_generators()
+        for comp in gen.components()
+    ]
+    chosen = data.draw(st.lists(st.sampled_from(targets), min_size=1, max_size=4, unique=True))
+    chars = {}
+    for name, comp in chosen:
+        parity = (sig.generator(name).grading.parity + shift) % 2
+        chars[(name, comp)] = _of_parity(data.draw(expressions(sig, max_terms=3)), parity)
+    return chars
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_derivation_commutes_with_total_derivatives(n, data):
+    sig = BV_SIGS[n]
+    chars = _characteristics(data, sig, data.draw(st.integers(0, 1)))
+    e = data.draw(expressions(sig))
+    pos = data.draw(st.integers(0, n - 1))
+    lhs = jetcalc.prolong_apply(chars, jetcalc.total_derivative(e, pos))
+    assert lhs == jetcalc.total_derivative(jetcalc.prolong_apply(chars, e), pos)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_derivation_obeys_graded_leibniz(n, data):
+    sig = BV_SIGS[n]
+    shift = data.draw(st.integers(0, 1))
+    chars = _characteristics(data, sig, shift)
+    parity = data.draw(st.integers(0, 1))
+    a = _of_parity(data.draw(expressions(sig, max_terms=3)), parity)
+    b = data.draw(expressions(sig, max_terms=3))
+    sign = -1 if shift * parity else 1
+    expected = jetcalc.prolong_apply(chars, a) * b + a * jetcalc.prolong_apply(chars, b) * sign
+    assert jetcalc.prolong_apply(chars, a * b) == expected
