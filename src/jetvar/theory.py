@@ -256,7 +256,8 @@ class NoetherOperator:
         self.coefficients = clean
 
     def apply(self, values: Mapping[Component, Expression], sig: Signature) -> Expression:
-        """Sum of coeff * D_alpha(values[component]), over ``sig`` extending ours."""
+        """Sum of coeff * D_alpha(values[component]); ``sig`` extends the
+        operator's signature, and the coefficients are embedded into it."""
         parts = (
             _transfer(coeff, sig) * jetcalc.apply_multi_derivative(values[key], mindex)
             for key, table in self.coefficients.items()
