@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or check-true, 1 check-false (residual printed),
-2 parse or usage error, 3 mathematical domain error.
+2 parse or usage error, 3 mathematical domain error, 4 internal error (one
+line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str):
@@ -325,6 +327,10 @@ def cli_dispatch(argv, out=None) -> int:
     except JetvarError as exc:  # pragma: no cover - safety net
         out.write(f"error: {exc}\n")
         return EXIT_DOMAIN
+    except Exception as exc:
+        # a bug, not a verdict: exit 1 would read as "check false"
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main():

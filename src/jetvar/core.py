@@ -459,14 +459,17 @@ class Expression:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponents must be nonnegative integers")
-        result = self.sig.one()
+        if n == 0:
+            return self.sig.one()
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)) and other != 0:
@@ -607,8 +610,15 @@ def parity_ghost_of(e: Expression):
 
 
 def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression:
-    """Simultaneous substitution of atoms by equally-graded expressions."""
+    """Simultaneous substitution of atoms by equally-graded expressions.
+
+    One call builds each factor image ``repl ** x`` once, and each product of
+    a monomial's leading factors (even factors, then odd ones, in stored
+    order) once: sorted monomials share leading factors, so they share those
+    products.  A monomial's image stops at the first zero prefix product.
+    """
     sig = e.sig
+    bound = {}
     for atom, repl in bindings.items():
         repl = e._coerce(repl)
         want = sig.atom_grading(atom)
@@ -616,33 +626,46 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
             raise GradingViolationError(
                 f"replacement for atom of grading {want} is not homogeneous of that grading"
             )
+        bound[atom] = repl
 
-    def image(m: Monomial) -> Expression:
-        acc = sig.const(m.coeff)
-        for a, x in m.even:
+    images = {}
+
+    def image(factor) -> Expression:
+        f = images.get(factor)
+        if f is None:
+            a, x = factor
+            repl = bound.get(a)
             if x < 0:
-                if a in bindings:
+                if repl is not None:
                     raise GradingViolationError(
                         "cannot substitute a parameter occurring with a negative exponent"
                     )
-                acc = acc * _param_power(sig, a, x)
-                continue
-            repl = bindings.get(a)
-            if repl is None:
-                repl = sig.from_atom(a)
-            acc = acc * repl ** x
-            if acc.is_zero():
-                return acc
-        for a in m.odd:
-            repl = bindings.get(a)
-            if repl is None:
-                repl = sig.from_atom(a)
-            acc = acc * repl
-            if acc.is_zero():
-                return acc
-        return acc
+                f = _param_power(sig, a, x)
+            else:
+                f = (sig.from_atom(a) if repl is None else repl) ** x
+            images[factor] = f
+        return f
 
-    return Expression.sum(sig, map(image, e.terms))
+    # trie of leading factors: factor -> (product of the prefix, child trie)
+    root = {}
+    one = sig.one()
+    acc = {}
+    for m in e.terms:
+        node, product = root, one
+        for factor in m.even + tuple((a, 1) for a in m.odd):
+            entry = node.get(factor)
+            if entry is None:
+                f = image(factor)
+                entry = node[factor] = (f if node is root else product * f, {})
+            product, node = entry
+            if not product:
+                break
+        c = m.coeff
+        for t in product.terms:
+            key = (t.even, t.odd)
+            prev = acc.get(key)
+            acc[key] = c * t.coeff if prev is None else prev + c * t.coeff
+    return Expression._from_map(sig, acc)
 
 
 def _param_power(sig: Signature, atom: Atom, exponent: int) -> Expression:

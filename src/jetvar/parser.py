@@ -1011,7 +1011,12 @@ def parse_model(text: str):
                 den = 1
                 if rest.peek().kind == "/":
                     rest.next()
-                    den = int(rest.expect("int").text)
+                    den_tok = rest.expect("int")
+                    den = int(den_tok.text)
+                    if den == 0:
+                        raise ParseError(
+                            "metric entry has denominator 0", den_tok.line, den_tok.col
+                        )
                 entries.append(Fraction(sign * num, den))
                 if rest.peek().kind == ",":
                     rest.next()

@@ -8,6 +8,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
@@ -452,7 +453,11 @@ def evaluate_density(density_expr: Expression, section: Section) -> Expression:
 
 
 def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expression:
-    """Integrate a jet-free polynomial over a rational box, variable by variable."""
+    """Integrate a jet-free polynomial over a rational box, variable by variable.
+
+    Each moment (variable, exponent) and each product of the box lengths of
+    the variables a term lacks is computed once per call.
+    """
     sig = expr.sig
     spans = {}
     for var in sig.variables:
@@ -460,29 +465,37 @@ def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expr
             raise UnknownGeneratorError(f"box does not bound variable {var.name!r}")
         lo, hi = box[var.name]
         spans[sig.generator_id(var.name)] = (Fraction(lo), Fraction(hi))
+    moments = {}
+    lacking = {}  # variables a term has -> product of the other box lengths
     out = []
     for m in expr.terms:
         if m.odd:
             raise OddDensityError("cannot integrate an odd integrand")
         coeff = m.coeff
         kept = []
-        seen = set()
+        seen = []
         for atom, exp in m.even:
             gid = atom.gen
             if gid in spans:
-                lo, hi = spans[gid]
-                coeff *= (hi ** (exp + 1) - lo ** (exp + 1)) / (exp + 1)
-                seen.add(gid)
+                moment = moments.get((gid, exp))
+                if moment is None:
+                    lo, hi = spans[gid]
+                    moment = moments[(gid, exp)] = (hi ** (exp + 1) - lo ** (exp + 1)) / (exp + 1)
+                coeff *= moment
+                seen.append(gid)
             else:
                 if sig.generators[gid].role != PARAM:
                     raise UnknownGeneratorError(
                         f"integrand still contains jet coordinate {sig.generators[gid].name!r}"
                     )
                 kept.append((atom, exp))
-        for gid, (lo, hi) in spans.items():
-            if gid not in seen:
-                coeff *= hi - lo
-        out.append(Monomial(coeff, tuple(kept), ()))
+        seen = tuple(seen)
+        lengths = lacking.get(seen)
+        if lengths is None:
+            lengths = lacking[seen] = math.prod(
+                hi - lo for gid, (lo, hi) in spans.items() if gid not in seen
+            )
+        out.append(Monomial(coeff * lengths, tuple(kept), ()))
     return Expression.from_terms(sig, out)
 
 

@@ -3,7 +3,8 @@
 import io
 import pathlib
 
-from jetvar.cli import cli_dispatch
+from jetvar import cli
+from jetvar.cli import EXIT_INTERNAL, cli_dispatch
 from jetvar.parser import _Parser
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -168,6 +169,27 @@ def test_domain_error_exit_code():
     )
     assert code == 3
     assert "error" in text
+
+
+def test_zero_metric_denominator_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "zero_metric.jv"
+    path.write_text("vars t\nmetric diag(1/0)\nfield u\nlagrangian u*u\n")
+    code, text = run("el", str(path))
+    assert code == 2
+    assert text.startswith("parse error: 2:")
+    assert "denominator 0" in text
+    assert capsys.readouterr().err == ""
+
+
+def test_internal_error_is_one_line_with_its_own_exit_code(monkeypatch, capsys):
+    def broken(args, out):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "_cmd_el", broken)
+    code, text = run("el", str(MODELS / "free.jv"))
+    assert code == EXIT_INTERNAL == 4
+    assert text == ""
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: division by zero\n"
 
 
 def test_models_listing_and_emit():

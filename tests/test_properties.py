@@ -1,5 +1,6 @@
-"""Property tests of the kernel's canonical order, sum accumulator and atom
-invariant, and of the evolutionary derivation behind prolongations, d_KT and X_F."""
+"""Property tests of the kernel's canonical order, sum accumulator, atom
+invariant, substitution and powers, and of the evolutionary derivation behind
+prolongations, d_KT and X_F."""
 
 import functools
 import operator
@@ -23,10 +24,12 @@ from jetvar.core import (  # noqa: E402
     Expression,
     Generator,
     Grading,
+    Monomial,
     Signature,
+    invert_monomial,
     substitute,
 )
-from jetvar.errors import GeneratorMismatchError  # noqa: E402
+from jetvar.errors import GeneratorMismatchError, GradingViolationError  # noqa: E402
 from jetvar.theory import Theory, on_shell_reduce  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -237,3 +240,100 @@ def test_derivation_obeys_graded_leibniz(n, data):
     sign = -1 if shift * parity else 1
     expected = jetcalc.prolong_apply(chars, a) * b + a * jetcalc.prolong_apply(chars, b) * sign
     assert jetcalc.prolong_apply(chars, a * b) == expected
+
+
+EVEN_NAMES = ("t", "x", "y", "m", "u", "v")
+
+
+@st.composite
+def replacements(draw, sig, atom):
+    """Zero or a sum of terms homogeneous of the atom's grading: an even
+    ghost-free factor times an atom of the same generator when that is odd,
+    or, for an even target, sometimes times a pair of odd psi atoms."""
+    if draw(st.integers(0, 4)) == 0:
+        return sig.zero()
+    name = sig.generators[atom.gen].name
+    odd = sig.atom_grading(atom).parity == ODD
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        term = draw(expressions(sig, EVEN_NAMES, max_terms=2))
+        if odd:
+            term = term * sig.from_atom(draw(atoms(sig, (name,))))
+        elif draw(st.booleans()):
+            pair = draw(st.lists(atoms(sig, ("psi",)), min_size=2, max_size=2))
+            term = term * sig.from_atom(pair[0]) * sig.from_atom(pair[1])
+        terms.append(term)
+    return Expression.sum(sig, terms)
+
+
+def _substitute_reference(e: Expression, bindings) -> Expression:
+    """Substitution as first written: const(coeff) times each factor's
+    replacement, raised by repeated products, in factor order."""
+    sig = e.sig
+    images = []
+    for m in e.terms:
+        acc = sig.const(m.coeff)
+        factors = list(m.even) + [(a, 1) for a in m.odd]
+        for a, x in factors:
+            if x < 0:
+                if a in bindings:
+                    raise GradingViolationError("bound parameter with a negative exponent")
+                acc = acc * Expression(sig, (Monomial(Fraction(1), ((a, x),), ()),))
+                continue
+            repl = bindings.get(a, sig.from_atom(a))
+            for _ in range(x):
+                acc = acc * repl
+            if acc.is_zero():
+                break
+        images.append(acc)
+    return functools.reduce(operator.add, images, sig.zero())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_substitute_equals_factor_by_factor_products(n, data):
+    sig = SIGS[n]
+    e = data.draw(expressions(sig))
+    # Laurent terms: the parameter m with negative exponents
+    m = sig.from_atom(sig.atom("m"))
+    for k in data.draw(st.lists(st.integers(1, 2), max_size=2)):
+        e = e + invert_monomial(m ** k) * data.draw(expressions(sig, max_terms=2))
+    candidates = sorted(e.atoms()) + [data.draw(atoms(sig))]
+    chosen = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=4))
+    bindings = {a: data.draw(replacements(sig, a)) for a in chosen}
+    try:
+        expected = _substitute_reference(e, bindings)
+    except GradingViolationError:
+        with pytest.raises(GradingViolationError):
+            substitute(e, bindings)
+        return
+    got = substitute(e, bindings)
+    assert got == expected
+    _assert_orders(got)
+
+
+def test_substitute_negative_parameter_exponents():
+    sig = SIGS[1]
+    m, u = sig.from_atom(sig.atom("m")), sig.coord("u", (1,))
+    e = invert_monomial(m * m) * u + u * u
+    # unbound, the Laurent factor is kept
+    assert substitute(e, {sig.atom("u", (1,)): m}) == invert_monomial(m) + m * m
+    # bound, it is an error unless an earlier factor already made the term zero
+    with pytest.raises(GradingViolationError):
+        substitute(e, {sig.atom("m"): sig.const(2)})
+    t = sig.coord("t")
+    assert substitute(invert_monomial(m) * t, {sig.atom("t"): sig.zero(), sig.atom("m"): t}) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_power_laws(n, data):
+    sig = SIGS[n]
+    e = data.draw(expressions(sig, max_terms=3))
+    a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    assert e ** 1 is e
+    assert e ** 0 == sig.one()
+    assert e ** (a + b) == e ** a * e ** b
+    assert e ** (a + 1) == functools.reduce(operator.mul, [e] * (a + 1))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jetvar import jetcalc
-from jetvar.core import FIELD
+from jetvar.core import FIELD, Expression
 from jetvar.errors import (
     GeneratorMismatchError,
     GradingViolationError,
@@ -304,3 +304,40 @@ class TestLocalFunctional:
         section = Section(mech, {("u", ()): sig.coord("t") ** 3})
         out = evaluate_density(sig.coord("u", d=("t", "t")), section)
         assert out == sig.coord("t") * 6
+
+
+def _seeded_section(theory, seed):
+    """Polynomials of degree at most 2 in the base variables, one per field component."""
+    sig = theory.signature
+    rng = random.Random(seed)
+    values = {}
+    for key in theory.field_components():
+        terms = []
+        for _ in range(3):
+            term = sig.const(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 2)):
+                term = term * sig.coord(rng.choice(sig.variables).name)
+            terms.append(term)
+        values[key] = Expression.sum(sig, terms)
+    return Section(theory, values)
+
+
+def test_substitute_shares_products(monkeypatch):
+    theory = builtin("yang_mills_su2", dim=3).theory
+    section = _seeded_section(theory, 5)
+    expected = evaluate_density(theory.lagrangian, section)
+    calls = []
+    original = Expression.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Expression, "__mul__", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert evaluate_density(theory.lagrangian, section) == expected
+        counts.append(len(calls))
+    # one product chain per monomial, each starting from const(coeff), made 446
+    assert counts[0] == counts[1] <= 446 // 2
