@@ -21,7 +21,7 @@ from .bv import (
     koszul_tate_apply,
 )
 from .errors import DomainError, JetvarError, ParseError
-from .parser import parse_assignments, parse_expression, parse_model
+from .parser import parse_assignments, parse_expression, parse_model, parse_operator
 from .printer import format_expression
 from .theory import (
     EvolutionaryVF,
@@ -131,11 +131,7 @@ def _cmd_symm(args, out):
 def _cmd_noether(args, out):
     parsed = _load(args.file)
     theory = _base_theory(parsed)
-    from .parser import Expander, _Parser, tokenize
-
-    ast = _Parser(tokenize(args.op), allow_el=True).parse_full()
-    table = Expander(theory.signature, operator_mode=True).operator_table(ast, {})
-    op = NoetherOperator(theory, table)
+    op = NoetherOperator(theory, parse_operator(args.op, theory))
     residual = noether_residual(theory, op)
     if residual and args.max_order is not None:
         residual = on_shell_reduce(residual, theory, args.max_order)

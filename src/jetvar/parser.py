@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     EVEN,
@@ -53,7 +53,7 @@ from .errors import (
     ParseError,
     UndeclaredIdentifierError,
 )
-from .theory import NoetherOperator, Theory
+from .theory import NoetherOperator, Theory, _transfer
 
 # ---------------------------------------------------------------------------
 # lexer
@@ -67,7 +67,6 @@ class Token:
     col: int
 
 
-_SYMBOLS = ("..", "+", "-", "*", "^", "(", ")", "[", "]", ";", ",", ":", "=", "/")
 _OPERAND_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789(")
 
 
@@ -295,12 +294,36 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def parse_indices(self) -> List[Index]:
-        self.expect("[")
-        items = [self.parse_index()]
+    def comma_list(self, item) -> list:
+        """``item (',' item)*``, where ``item()`` parses one element."""
+        items = [item()]
         while self.peek().kind == ",":
             self.next()
-            items.append(self.parse_index())
+            items.append(item())
+        return items
+
+    def names(self) -> List[Token]:
+        return self.comma_list(lambda: self.expect("name"))
+
+    def letter_header(self) -> Tuple[str, ...]:
+        """An optional ``[name, ...]`` (def parameters, gauge letters)."""
+        if self.peek().kind != "[":
+            return ()
+        self.next()
+        letters = tuple(tok.text for tok in self.names())
+        self.expect("]")
+        return letters
+
+    def signed_int(self) -> int:
+        negative = self.peek().kind == "-"
+        if negative:
+            self.next()
+        value = int(self.expect("int").text)
+        return -value if negative else value
+
+    def parse_indices(self) -> List[Index]:
+        self.expect("[")
+        items = self.comma_list(self.parse_index)
         self.expect("]")
         return items
 
@@ -334,129 +357,278 @@ class DefEntry:
     body: Node
 
 
+class _Plan(NamedTuple):
+    """How one product is evaluated, fixed by the analysis."""
+
+    letters: Tuple[str, ...]  # the letters it contracts
+    assignments: list  # (values of the letters, inverse-metric factor)
+    scalar: Fraction  # its rational factors and leading signs
+    eps: list  # index lists of its eps factors
+    factors: list  # every other factor, signs peeled off
+
+
+class _Walk:
+    """State of one analysis pass over a root expression."""
+
+    def __init__(self, bound):
+        self.bound = bound  # letters the caller's environment binds
+        self.products = []  # (product, enclosing product, letter slots), in post-order
+        self.checks = {}  # bound letter -> static range checks its value must pass
+
+
 class Expander:
-    """Evaluate an AST over a signature, expanding index sums and metric factors."""
+    """Evaluate an AST over a signature, expanding index sums and metric factors.
+
+    Each root expression is analysed once: every node's exposed letter slots,
+    its nesting depth with defs inlined, the static checks and the plan of
+    every product.  Evaluation reads the plans and never re-walks a subtree;
+    each def instance ``(name, parameter values)`` is evaluated once, which is
+    sound because a def body sees only its own parameters.
+    """
 
     def __init__(self, sig: Signature, defs: Dict[str, DefEntry] = None, operator_mode=False):
         self.sig = sig
         self.defs = defs or {}
         self.operator_mode = operator_mode
-        self._def_stack: List[str] = []
-        self._sums = 0  # sum nodes open in the letter analysis
+        self._roots: Dict[Node, frozenset] = {}  # analysed root -> its bound letters
+        self._plans: Dict[Node, _Plan] = {}
+        self._bodies: Dict[str, tuple] = {}  # def -> (param slots, height, nonparam, checks)
+        self._open: List[str] = []  # defs whose bodies are being analysed
+        self._instances: Dict[tuple, Expression] = {}  # (def, parameter values) -> value
 
-    # -- letter analysis ------------------------------------------------------
+    def extended(self, sig: Signature) -> "Expander":
+        """An expander over a signature extending this one's that reuses its def
+        analyses and instances (moved over by ``_transfer``)."""
+        other = Expander(sig, self.defs, self.operator_mode)
+        other._plans = dict(self._plans)
+        other._bodies = dict(self._bodies)
+        other._instances = dict(self._instances)
+        return other
 
-    def _index_slots(self, name: str, idx: List[Index], line, col):
-        """Slot descriptors for a generator or def reference."""
-        sig = self.sig
-        if name in self.defs:
-            if name in self._def_stack:
-                raise ParseError(f"def {name!r} is recursive", line, col)
-            entry = self.defs[name]
-            if len(idx) != len(entry.params):
-                raise ParseError(
-                    f"def {name!r} takes {len(entry.params)} indices, got {len(idx)}", line, col
-                )
-            # a def argument ranges over whatever its use inside the body demands;
-            # collect the body slot of each parameter
-            self._def_stack.append(name)
-            try:
-                inner = self._letter_slots(entry.body)
-            finally:
-                self._def_stack.pop()
-            slots = []
-            for param in entry.params:
-                got = inner.get(param)
-                if not got:
-                    raise ParseError(f"def {name!r} never uses index {param!r}", line, col)
-                slots.append(got[0])
-            return slots
-        if not sig.has_generator(name):
-            raise UndeclaredIdentifierError(f"undeclared identifier {name!r}", line, col)
-        gen = sig.generator(name)
-        if len(idx) != len(gen.index_ranges):
-            raise IndexRangeError(
-                f"{name!r} takes {len(gen.index_ranges)} indices, got {len(idx)}", line, col
-            )
-        metric_slots = gen.metric_slots or (False,) * len(gen.index_ranges)
-        return [
-            Slot(lo, hi, bool(ms)) for (lo, hi), ms in zip(gen.index_ranges, metric_slots)
-        ]
+    # -- analysis --------------------------------------------------------------
 
-    def _letter_slots(self, node: Node) -> Dict[str, list]:
-        """Exposed letters of a node with the slots they occupy."""
+    def _prepare(self, node: Node, env) -> None:
+        bound = frozenset(env)
+        if self._roots.get(node) != bound:
+            walk = _Walk(bound)
+            self._check_bound(node, self._analyse(node, 0, None, walk)[0], bound)
+            self._plan_products(walk)
+            self._roots[node] = bound
+
+    def _analyse(self, node: Node, level: int, outer, walk: _Walk):
+        """Exposed letters with their slots, the number of nested sums (defs
+        inlined) and whether a non-parameter is referenced; runs the static
+        checks.  ``level`` counts the sums open above the node."""
         kind = node.kind
         if kind == "num":
-            return {}
+            return {}, 0, False
         if kind == "neg":
-            return self._letter_slots(node.data)
+            return self._analyse(node.data, level, outer, walk)
         if kind == "pow":
-            base, _ = node.data
-            inner = self._letter_slots(base)
-            if inner:
-                raise ParseError("index letters cannot appear under an exponent", node.line, node.col)
-            return {}
-        if kind in ("ref", "el"):
-            name, idx = node.data
-            if kind == "el":
-                if not self.sig.has_generator(name):
-                    raise UndeclaredIdentifierError(
-                        f"undeclared identifier {name!r}", node.line, node.col
-                    )
-                gen = self.sig.generator(name)
-                slots = [Slot(lo, hi, False) for lo, hi in gen.index_ranges]
-            else:
-                slots = self._index_slots(name, idx, node.line, node.col)
-            out = {}
-            for item, slot in zip(idx, slots):
-                if item.kind == "letter" and not self._is_variable(item.value):
-                    out.setdefault(item.value, []).append(slot)
-            return out
-        if kind == "eps":
-            out = {}
-            for item in node.data:
-                if item.kind == "letter" and not self._is_variable(item.value):
-                    out.setdefault(item.value, []).append(Slot(0, 0, None))
-            return out
-        if kind == "d":
-            body, slot = node.data
-            out = {k: list(v) for k, v in self._letter_slots(body).items()}
-            if slot.kind == "letter" and not self._is_variable(slot.value):
-                out.setdefault(slot.value, []).append(Slot(0, self.sig.nvars - 1, True))
-            return out
-        if kind == "mul":
-            out = {}
-            for f in node.data:
-                for k, v in self._letter_slots(f).items():
-                    out.setdefault(k, []).extend(v)
-            return out
+            base, exp = node.data
+            letters, height, nonparam = self._analyse(base, level, outer, walk)
+            if letters:
+                raise ParseError(
+                    "index letters cannot appear under an exponent", node.line, node.col
+                )
+            if exp < 0 and nonparam:
+                raise ParseError(
+                    "negative exponents require a parameter monomial", node.line, node.col
+                )
+            return {}, height, nonparam
         if kind == "sum":
-            # one sum node per '(' or 'd(' level and per expanded def body, which
-            # counts as if written inline in parentheses; letters are analysed
-            # before every evaluation, so this also bounds evaluation depth
-            if self._sums > _Parser.MAX_NESTING:
+            # one sum per '(' or 'd(' level and per def body, which counts as
+            # if written inline in parentheses; this bounds evaluation depth
+            if level > _Parser.MAX_NESTING:
                 raise ParseError(
                     f"expression nested deeper than {_Parser.MAX_NESTING} levels "
                     "with defs expanded",
                     node.line,
                     node.col,
                 )
-            self._sums += 1
-            try:
-                exposed = None
-                for _, term in node.data:
-                    letters = self._letter_slots(term)
-                    over = {k for k, v in letters.items() if len(v) == 1}
-                    if exposed is None:
-                        exposed = {k: letters[k] for k in over}
-                    elif set(exposed) != over:
-                        raise ParseError(
-                            "summands expose different free index letters", node.line, node.col
-                        )
-                return exposed or {}
-            finally:
-                self._sums -= 1
+            exposed, height, nonparam = None, 0, False
+            for _, term in node.data:
+                letters, h, n = self._analyse(term, level + 1, outer, walk)
+                over = {k for k, v in letters.items() if len(v) == 1}
+                if exposed is None:
+                    exposed = {k: letters[k] for k in over}
+                elif set(exposed) != over:
+                    raise ParseError(
+                        "summands expose different free index letters", node.line, node.col
+                    )
+                height, nonparam = max(height, h), nonparam or n
+            return exposed, height + 1, nonparam
+        if kind == "mul":
+            letters, height, nonparam = {}, 0, False
+            for f in node.data:
+                inner, h, n = self._analyse(f, level, node, walk)
+                for k, v in inner.items():
+                    letters.setdefault(k, []).extend(v)
+                height, nonparam = max(height, h), nonparam or n
+            walk.products.append((node, outer, letters))
+            return letters, height, nonparam
+        if kind == "eps":
+            return self._exposed(node.data, [Slot(0, 0, None)] * 3), 0, False
+        if kind == "d":
+            body, slot = node.data
+            letters, height, _ = self._analyse(body, level, outer, walk)
+            letters = {k: list(v) for k, v in letters.items()}
+            self._static_check(slot, [(0, self.sig.nvars - 1, slot, None)], walk)
+            for k, v in self._exposed([slot], [Slot(0, self.sig.nvars - 1, True)]).items():
+                letters.setdefault(k, []).extend(v)
+            return letters, height, True
+        if kind == "el":
+            name, idx = node.data
+            gen = self._generator(name, node)
+            slots = [Slot(lo, hi, False) for lo, hi in gen.index_ranges]
+            return self._exposed(idx, slots), 0, True
+        if kind == "ref":
+            name, idx = node.data
+            if name in self.defs:
+                return self._analyse_def_ref(node, level, walk)
+            gen = self._generator(name, node)
+            if len(idx) != len(gen.index_ranges):
+                raise IndexRangeError(
+                    f"{name!r} takes {len(gen.index_ranges)} indices, got {len(idx)}",
+                    node.line,
+                    node.col,
+                )
+            for item, (lo, hi) in zip(idx, gen.index_ranges):
+                self._static_check(item, [(lo, hi, item, name)], walk)
+            metric = gen.metric_slots or (False,) * len(gen.index_ranges)
+            slots = [Slot(lo, hi, bool(ms)) for (lo, hi), ms in zip(gen.index_ranges, metric)]
+            return self._exposed(idx, slots), 0, gen.role != PARAM
         raise AssertionError(f"unhandled node {kind}")
+
+    def _analyse_def_ref(self, node: Node, level: int, walk: _Walk):
+        name, idx = node.data
+        if name in self._open:
+            raise ParseError(f"def {name!r} is recursive", node.line, node.col)
+        entry = self.defs[name]
+        if len(idx) != len(entry.params):
+            raise ParseError(
+                f"def {name!r} takes {len(entry.params)} indices, got {len(idx)}",
+                node.line,
+                node.col,
+            )
+        info = self._bodies.get(name)
+        if info is None:
+            # a def argument ranges over whatever its use inside the body demands
+            inner = _Walk(frozenset(entry.params))
+            self._open.append(name)
+            try:
+                letters, height, nonparam = self._analyse(entry.body, level, None, inner)
+            finally:
+                self._open.pop()
+            for param in entry.params:
+                if param not in letters:
+                    raise ParseError(
+                        f"def {name!r} never uses index {param!r}", node.line, node.col
+                    )
+            self._check_bound(entry.body, letters, inner.bound)
+            self._plan_products(inner)
+            slots = [letters[param][0] for param in entry.params]
+            info = self._bodies[name] = (slots, height, nonparam, inner.checks)
+        slots, height, nonparam, checks = info
+        if level + height - 1 > _Parser.MAX_NESTING:
+            # deeper here than where it was first analysed: walk it again at
+            # this depth to raise at the sum that is too deep
+            self._analyse(entry.body, level, None, _Walk(frozenset(entry.params)))
+        for item, param in zip(idx, entry.params):
+            self._static_check(item, checks.get(param, []), walk)
+        return self._exposed(idx, slots), height, nonparam
+
+    def _exposed(self, idx: List[Index], slots) -> Dict[str, list]:
+        out = {}
+        for item, slot in zip(idx, slots):
+            if item.kind == "letter" and not self._is_variable(item.value):
+                out.setdefault(item.value, []).append(slot)
+        return out
+
+    def _static_check(self, item: Index, checks, walk: _Walk) -> None:
+        """Range checks of an index: now if its value is known, else recorded
+        for a bound letter (a def parameter checked at each use of the def)."""
+        if item.kind == "int" or self._is_variable(item.value):
+            self._check_range(self._index_value(item, {}), checks)
+        elif item.value in walk.bound:
+            walk.checks.setdefault(item.value, []).extend(checks)
+
+    def _check_range(self, value: int, checks) -> None:
+        """``checks`` are (lo, hi, index, generator name, or None for a derivative slot)."""
+        for lo, hi, item, name in checks:
+            if lo <= value <= hi:
+                continue
+            if name is None:
+                message = f"derivative slot {value} outside the {hi + 1} declared variables"
+            else:
+                message = f"component {value} of {name!r} outside {lo}..{hi}"
+            raise IndexRangeError(message, item.line, item.col)
+
+    def _generator(self, name: str, node: Node) -> Generator:
+        if not self.sig.has_generator(name):
+            raise UndeclaredIdentifierError(f"undeclared identifier {name!r}", node.line, node.col)
+        return self.sig.generator(name)
+
+    @staticmethod
+    def _check_bound(node: Node, letters, bound) -> None:
+        for letter in sorted(letters):
+            if letter not in bound:
+                raise ParseError(f"unbound index letter {letter!r}", node.line, node.col)
+
+    def _plan_products(self, walk: _Walk) -> None:
+        # reversed post-order meets each product before the products inside it,
+        # whose environment also binds the letters it contracts
+        bound = {None: walk.bound}
+        for node, outer, letters in reversed(walk.products):
+            plan = self._plan(node, letters, bound[outer])
+            bound[node] = bound[outer] | set(plan.letters)
+
+    def _plan(self, node: Node, letters, bound) -> _Plan:
+        pairs = []
+        for letter, slots in sorted(letters.items()):
+            if letter in bound or len(slots) == 1:
+                continue  # bound by the environment, or exposed upward
+            if len(slots) > 2:
+                raise ParseError(
+                    f"index letter {letter!r} appears more than twice in a term",
+                    node.line,
+                    node.col,
+                )
+            a, b = slots
+            if a.metric is None and b.metric is None:
+                raise ParseError(f"cannot infer the range of {letter!r}", node.line, node.col)
+            ref, other = (a, b) if a.metric is not None else (b, a)
+            if other.metric is not None and (other.lo, other.hi) != (ref.lo, ref.hi):
+                raise IndexRangeError(
+                    f"index letter {letter!r} joins slots of different ranges", node.line, node.col
+                )
+            # one inverse-metric factor only when both occurrences sit in metric
+            # slots, a mixed pair is a plain duality pairing; operator indices
+            # pair with the EL system, so they carry no metric at all
+            metric = bool(a.metric) and bool(b.metric) and not self.operator_mode
+            pairs.append((letter, ref.lo, ref.hi, metric))
+        assignments = []
+        for values in itertools.product(*[range(lo, hi + 1) for _, lo, hi, _ in pairs]):
+            factor = Fraction(1)
+            for (_, _, _, metric), v in zip(pairs, values):
+                if metric:
+                    # metric slots always range over the variable positions 0..n-1
+                    factor /= self.sig.metric[v]
+            assignments.append((values, factor))
+        scalar, eps, factors = Fraction(1), [], []
+        for f in node.data:
+            while f.kind == "neg":
+                scalar, f = -scalar, f.data
+            if f.kind == "num":
+                scalar *= f.data
+            elif f.kind == "eps":
+                eps.append(f.data)
+            else:
+                factors.append(f)
+        plan = self._plans[node] = _Plan(
+            tuple(p[0] for p in pairs), assignments, scalar, eps, factors
+        )
+        return plan
 
     def _is_variable(self, name: str) -> bool:
         return self.sig.has_generator(name) and self.sig.generator(name).role == VAR
@@ -465,90 +637,45 @@ class Expander:
 
     def expression(self, node: Node, env: Dict[str, int] = None) -> Expression:
         env = env or {}
-        leftovers = {
-            k: v for k, v in self._letter_slots(node).items() if k not in env
-        }
-        for letter, slots in sorted(leftovers.items()):
-            if len(slots) == 1:
-                raise ParseError(f"unbound index letter {letter!r}", node.line, node.col)
+        self._prepare(node, env)
         return self._eval(node, env)
 
+    def _assignments(self, plan: _Plan, env):
+        """(environment, inverse-metric factor) over the contracted assignments."""
+        for values, metric in plan.assignments:
+            yield {**env, **dict(zip(plan.letters, values))} if plan.letters else env, metric
+
     def _eval(self, node: Node, env) -> Expression:
-        kind = node.kind
-        if kind == "sum":
-            return Expression.sum(
-                self.sig, [self._eval(term, env) * sign for sign, term in node.data]
-            )
-        if kind == "mul":
-            return self._eval_product(node.data, env, node)
-        return self._eval_product([node], env, node)
+        terms = node.data
+        if len(terms) == 1:
+            return self._eval_product(terms[0][1], env, terms[0][0])
+        return Expression.sum(
+            self.sig, [self._eval_product(term, env, sign) for sign, term in terms]
+        )
 
-    def _contractions(self, factors, env, node):
-        """Yield (extended env, metric factor) over all contracted assignments."""
-        counts: Dict[str, list] = {}
-        for f in factors:
-            for k, v in self._letter_slots(f).items():
-                counts.setdefault(k, []).extend(v)
-        pairs = []
-        for letter, slots in sorted(counts.items()):
-            if letter in env:
-                continue
-            if len(slots) == 1:
-                continue  # exposed upward; validated at the top
-            if len(slots) > 2:
-                raise ParseError(
-                    f"index letter {letter!r} appears more than twice in a term",
-                    node.line,
-                    node.col,
-                )
-            a, b = slots
-            if self.operator_mode:
-                # operator indices pair with the EL system; no metric, no
-                # metric/plain distinction
-                a = Slot(a.lo, a.hi, None if a.metric is None else False)
-                b = Slot(b.lo, b.hi, None if b.metric is None else False)
-            if a.metric is None and b.metric is None:
-                raise ParseError(
-                    f"cannot infer the range of {letter!r}", node.line, node.col
-                )
-            # one inverse-metric factor only when both occurrences sit in
-            # metric slots; a mixed pair is a plain duality pairing
-            metric = bool(a.metric) and bool(b.metric)
-            ref = a if a.metric is not None else b
-            other = b if ref is a else a
-            if other.metric is not None and (other.lo, other.hi) != (ref.lo, ref.hi):
-                raise IndexRangeError(
-                    f"index letter {letter!r} joins slots of different ranges",
-                    node.line,
-                    node.col,
-                )
-            if self.operator_mode:
-                metric = False
-            pairs.append((letter, ref.lo, ref.hi, metric))
-        if not pairs:
-            yield env, Fraction(1)
-            return
-        ranges = [range(lo, hi + 1) for _, lo, hi, _ in pairs]
-        for values in itertools.product(*ranges):
-            env2 = dict(env)
-            factor = Fraction(1)
-            for (letter, lo, _, metric), v in zip(pairs, values):
-                env2[letter] = v
-                if metric:
-                    # metric slots always range over the variable positions 0..n-1
-                    factor /= self.sig.metric[v]
-            yield env2, factor
-
-    def _eval_product(self, factors, env, node) -> Expression:
+    def _eval_product(self, node: Node, env, sign) -> Expression:
+        # rational, eps and metric factors are folded into one scalar first:
+        # an assignment that makes it zero multiplies nothing
+        plan = self._plans[node]
+        scalar = plan.scalar * sign
         parts = []
-        for env2, metric in self._contractions(factors, env, node):
-            acc = self.sig.const(metric)
-            for f in factors:
-                acc = acc * self._eval_factor(f, env2)
-                if acc.is_zero():
+        for inner, metric in self._assignments(plan, env):
+            c = scalar * metric
+            for idx in plan.eps:
+                c *= _eps_sign([self._index_value(item, inner) for item in idx])
+            if not c:
+                continue
+            acc = None
+            for f in plan.factors:
+                value = self._eval_factor(f, inner)
+                acc = value if acc is None else acc * value
+                if not acc:
                     break
-            parts.append(acc)
-        return Expression.sum(self.sig, parts)
+            if acc is None:
+                parts.append(self.sig.const(c))
+            elif acc:
+                parts.append(acc if c == 1 else acc * c)
+        return parts[0] if len(parts) == 1 else Expression.sum(self.sig, parts)
 
     def _eval_factor(self, node: Node, env) -> Expression:
         kind = node.kind
@@ -569,8 +696,6 @@ class Expander:
                 ) from None
         if kind == "sum":
             return self._eval(node, env)
-        if kind == "mul":
-            return self._eval_product(node.data, env, node)
         if kind == "eps":
             values = [self._index_value(item, env) for item in node.data]
             return self.sig.const(_eps_sign(values))
@@ -595,64 +720,37 @@ class Expander:
 
     def _slot_position(self, item: Index, env) -> int:
         v = self._index_value(item, env)
-        if not 0 <= v < self.sig.nvars:
-            raise IndexRangeError(
-                f"derivative slot {v} outside the {self.sig.nvars} declared variables",
-                item.line,
-                item.col,
-            )
+        self._check_range(v, [(0, self.sig.nvars - 1, item, None)])
         return v
 
     def _eval_ref(self, node: Node, env) -> Expression:
         name, idx = node.data
-        if name in self.defs:
-            if name in self._def_stack:
-                raise ParseError(f"def {name!r} is recursive", node.line, node.col)
-            entry = self.defs[name]
-            if len(idx) != len(entry.params):
-                raise ParseError(
-                    f"def {name!r} takes {len(entry.params)} indices, got {len(idx)}",
-                    node.line,
-                    node.col,
-                )
-            inner_env = {
-                p: self._index_value(item, env) for p, item in zip(entry.params, idx)
-            }
-            self._def_stack.append(name)
-            try:
-                return self.expression(entry.body, inner_env)
-            finally:
-                self._def_stack.pop()
-        if not self.sig.has_generator(name):
-            raise UndeclaredIdentifierError(
-                f"undeclared identifier {name!r}", node.line, node.col
-            )
-        gen = self.sig.generator(name)
-        comp = tuple(self._index_value(item, env) for item in idx)
-        if len(comp) != len(gen.index_ranges):
-            raise IndexRangeError(
-                f"{name!r} takes {len(gen.index_ranges)} indices, got {len(comp)}",
-                node.line,
-                node.col,
-            )
-        for value, (lo, hi), item in zip(comp, gen.index_ranges, idx):
-            if not lo <= value <= hi:
-                raise IndexRangeError(
-                    f"component {value} of {name!r} outside {lo}..{hi}", item.line, item.col
-                )
-        return self.sig.from_atom(self.sig.atom(name, comp))
+        values = tuple(self._index_value(item, env) for item in idx)
+        entry = self.defs.get(name)
+        if entry is None:
+            gen = self.sig.generator(name)
+            for v, (lo, hi), item in zip(values, gen.index_ranges, idx):
+                self._check_range(v, [(lo, hi, item, name)])
+            return self.sig.from_atom(self.sig.atom(name, values))
+        value = self._instances.get((name, values))
+        if value is None:
+            value = self._eval(entry.body, dict(zip(entry.params, values)))
+        elif value.sig is self.sig:
+            return value
+        else:
+            value = _transfer(value, self.sig)  # an instance of the expander extended
+        self._instances[name, values] = value
+        return value
 
     # -- gauge operators -----------------------------------------------------------
 
     def operator_table(self, node: Node, env) -> Dict[tuple, Dict[tuple, Expression]]:
         """Expand an EL(...)-linear expression into Noether-operator coefficients."""
+        self._prepare(node, env)
         table: Dict[tuple, Dict[tuple, Expression]] = {}
-        if node.kind != "sum":
-            node = Node("sum", [(1, node)], node.line, node.col)
         for sign, term in node.data:
-            factors = term.data if term.kind == "mul" else [term]
-            for env2, metric in self._contractions(factors, env, term):
-                self._operator_term(factors, sign * metric, env2, table, term)
+            for inner, metric in self._assignments(self._plans[term], env):
+                self._operator_term(term.data, sign * metric, inner, table, term)
         return table
 
     def _operator_term(self, factors, scale, env, table, node):
@@ -740,13 +838,8 @@ class Expander:
 def _eps_sign(values) -> int:
     if len(set(values)) != len(values):
         return 0
-    sign = 1
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                sign = -sign
-    return sign
+    inversions = sum(a > b for i, a in enumerate(values) for b in values[i + 1 :])
+    return -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +863,15 @@ def parse_expression(text: str, context) -> Expression:
     sig = _context_signature(context)
     ast = _Parser(tokenize(text)).parse_full()
     return Expander(sig).expression(ast)
+
+
+def parse_operator(text: str, context) -> Dict[tuple, Dict[tuple, Expression]]:
+    """Parse an EL(...)-linear gauge operator into its coefficient table:
+    field component -> derivative multi-index -> coefficient.  Operator
+    indices pair with the EL system, so no metric factors are inserted."""
+    sig = _context_signature(context)
+    ast = _Parser(tokenize(text), allow_el=True).parse_full()
+    return Expander(sig, operator_mode=True).operator_table(ast, {})
 
 
 def _split_top_level(tokens: List[Token]) -> List[List[Token]]:
@@ -801,10 +903,7 @@ def parse_assignments(text: str, context) -> Dict[tuple, Expression]:
         head = parser.expect("name")
         idx = parser.parse_indices() if parser.peek().kind == "[" else []
         parser.expect("=")
-        body = parser.parse_expr()
-        tok = parser.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        body = parser.parse_full()
         expander = Expander(sig)
         if not sig.has_generator(head.text):
             raise UndeclaredIdentifierError(
@@ -819,8 +918,7 @@ def parse_assignments(text: str, context) -> Dict[tuple, Expression]:
         for item, (lo, hi) in zip(idx, gen.index_ranges):
             if item.kind == "letter" and not expander._is_variable(item.value):
                 letters.append((item.value, lo, hi))
-        ranges = [range(lo, hi + 1) for _, lo, hi in letters]
-        for values in itertools.product(*ranges) if ranges else [()]:
+        for values in itertools.product(*[range(lo, hi + 1) for _, lo, hi in letters]):
             env = {name: v for (name, _, _), v in zip(letters, values)}
             comp = tuple(expander._index_value(item, env) for item in idx)
             key = (head.text, comp)
@@ -848,7 +946,7 @@ def _check_name(tok: Token):
     return tok
 
 
-def _parse_range(parser: _Parser, tok0):
+def _parse_range(parser: _Parser):
     tok = parser.peek()
     if tok.kind == "name":
         if tok.text != "dim":
@@ -863,24 +961,23 @@ def _parse_range(parser: _Parser, tok0):
     return (lo, hi)
 
 
+def _metric_entry(parser: _Parser) -> Fraction:
+    num = parser.signed_int()
+    if parser.peek().kind != "/":
+        return Fraction(num)
+    parser.next()
+    den = parser.expect("int")
+    if int(den.text) == 0:
+        raise ParseError("metric entry has denominator 0", den.line, den.col)
+    return Fraction(num, int(den.text))
+
+
 def _parse_generator_line(parser: _Parser, role: str, nvars: int):
     name_tok = _check_name(parser.expect("name"))
     ranges = []
-    metric_slots = []
     if parser.peek().kind == "[":
         parser.next()
-        while True:
-            r = _parse_range(parser, name_tok)
-            if r is _RANGE_DIM:
-                ranges.append((0, nvars - 1))
-                metric_slots.append(True)
-            else:
-                ranges.append(r)
-                metric_slots.append(False)
-            if parser.peek().kind == ",":
-                parser.next()
-                continue
-            break
+        ranges = parser.comma_list(lambda: _parse_range(parser))
         parser.expect("]")
     parity = ODD if role == GHOST else EVEN
     ghost_number = 1 if role == GHOST else 0
@@ -893,11 +990,7 @@ def _parse_generator_line(parser: _Parser, role: str, nvars: int):
                 raise ParseError("parity must be 'even' or 'odd'", val.line, val.col)
             parity = EVEN if val.text == "even" else ODD
         elif opt.text == "ghost":
-            sign = 1
-            if parser.peek().kind == "-":
-                parser.next()
-                sign = -1
-            ghost_number = sign * int(parser.expect("int").text)
+            ghost_number = parser.signed_int()
         else:
             raise ParseError(f"unknown option {opt.text!r}", opt.line, opt.col)
     tok = parser.peek()
@@ -906,9 +999,9 @@ def _parse_generator_line(parser: _Parser, role: str, nvars: int):
     return Generator(
         name_tok.text,
         role,
-        tuple(ranges),
+        tuple((0, nvars - 1) if r is _RANGE_DIM else r for r in ranges),
         Grading(parity, ghost_number),
-        tuple(metric_slots),
+        tuple(r is _RANGE_DIM for r in ranges),
     )
 
 
@@ -989,49 +1082,18 @@ def parse_model(text: str):
         if keyword == "vars":
             if builder.signature is not None:
                 raise ParseError("declarations must precede the lagrangian", head.line, head.col)
-            while True:
-                builder.variables.append(_check_name(rest.expect("name")).text)
-                if rest.peek().kind == ",":
-                    rest.next()
-                    continue
-                break
+            builder.variables += [_check_name(tok).text for tok in rest.names()]
             rest.expect("end")
         elif keyword == "metric":
             tag = rest.expect("name")
             if tag.text != "diag":
                 raise ParseError("expected 'diag(...)'", tag.line, tag.col)
             rest.expect("(")
-            entries = []
-            while True:
-                sign = 1
-                if rest.peek().kind == "-":
-                    rest.next()
-                    sign = -1
-                num = int(rest.expect("int").text)
-                den = 1
-                if rest.peek().kind == "/":
-                    rest.next()
-                    den_tok = rest.expect("int")
-                    den = int(den_tok.text)
-                    if den == 0:
-                        raise ParseError(
-                            "metric entry has denominator 0", den_tok.line, den_tok.col
-                        )
-                entries.append(Fraction(sign * num, den))
-                if rest.peek().kind == ",":
-                    rest.next()
-                    continue
-                break
+            builder.metric = rest.comma_list(lambda: _metric_entry(rest))
             rest.expect(")")
             rest.expect("end")
-            builder.metric = entries
         elif keyword == "params":
-            while True:
-                builder.parameters.append(_check_name(rest.expect("name")).text)
-                if rest.peek().kind == ",":
-                    rest.next()
-                    continue
-                break
+            builder.parameters += [_check_name(tok).text for tok in rest.names()]
             rest.expect("end")
         elif keyword in ("field", "ghost"):
             if builder.signature is not None:
@@ -1047,16 +1109,7 @@ def parse_model(text: str):
                 builder.ghost_specs.append(gen)
         elif keyword == "def":
             name_tok = _check_name(rest.expect("name"))
-            params = []
-            if rest.peek().kind == "[":
-                rest.next()
-                while True:
-                    params.append(rest.expect("name").text)
-                    if rest.peek().kind == ",":
-                        rest.next()
-                        continue
-                    break
-                rest.expect("]")
+            params = rest.letter_header()
             rest.expect("=")
             body = rest.parse_expr()
             rest.expect("end")
@@ -1064,26 +1117,17 @@ def parse_model(text: str):
                 raise ParseError(
                     f"duplicate declaration of {name_tok.text!r}", name_tok.line, name_tok.col
                 )
-            builder.defs[name_tok.text] = DefEntry(tuple(params), body)
+            builder.defs[name_tok.text] = DefEntry(params, body)
         elif keyword == "lagrangian":
             builder.build_signature(head.line)
             builder.lagrangian_ast = rest.parse_expr()
             rest.expect("end")
         elif keyword == "gauge":
             name_tok = rest.expect("name")
-            letters = []
-            if rest.peek().kind == "[":
-                rest.next()
-                while True:
-                    letters.append(rest.expect("name").text)
-                    if rest.peek().kind == ",":
-                        rest.next()
-                        continue
-                    break
-                rest.expect("]")
+            letters = rest.letter_header()
             rest.expect(":")
             body = _Parser(rest.tokens[rest.pos :], allow_el=True).parse_full()
-            builder.gauge_lines.append((name_tok, tuple(letters), body))
+            builder.gauge_lines.append((name_tok, letters, body))
         elif keyword == "master":
             builder.master_ast = rest.parse_expr()
             rest.expect("end")
@@ -1119,8 +1163,7 @@ def parse_model(text: str):
                 name_tok.col,
             )
         per_comp = tables.setdefault(ghost.name, {})
-        ranges = [range(lo, hi + 1) for lo, hi in ghost.index_ranges]
-        for comp in itertools.product(*ranges) if ranges else [()]:
+        for comp in itertools.product(*[range(lo, hi + 1) for lo, hi in ghost.index_ranges]):
             env = dict(zip(letters, comp))
             raw = op_expander.operator_table(body, env)
             if comp in per_comp:
@@ -1139,6 +1182,6 @@ def parse_model(text: str):
         gauge.append((ghost, ops))
     bv = extend_to_bv(theory, gauge)
     if builder.master_ast is not None:
-        master_expander = Expander(bv.signature, builder.defs)
-        bv = bv.with_master(master_expander.expression(builder.master_ast))
+        master = expander.extended(bv.signature).expression(builder.master_ast)
+        bv = bv.with_master(master)
     return bv

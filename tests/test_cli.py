@@ -150,6 +150,15 @@ def test_deeply_nested_def_bodies_are_a_parse_error(tmp_path):
     assert "nested deeper than" in text
 
 
+def test_def_met_again_deeper_is_a_parse_error(tmp_path):
+    # f20 is first met near the top; inside the chain under f99 it lies past
+    # the limit, three parentheses deeper
+    defs = ["def f0 = u*u\n"] + [f"def f{i} = f{i - 1}\n" for i in range(1, 100)]
+    code, text = run("el", _def_model(tmp_path, defs, "f20 + (((f99)))"))
+    assert code == 2
+    assert text.startswith("parse error: 5:10: expression nested deeper than")
+
+
 def test_def_chain_up_to_the_limit_parses(tmp_path):
     code, text = run("el", _def_chain(tmp_path, _Parser.MAX_NESTING))
     assert (code, text) == (0, "EL[u] = 2 * u\n")

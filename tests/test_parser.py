@@ -1,19 +1,21 @@
 """Expression grammar, Einstein expansion, model files, and error positions."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from jetvar import parser
 from jetvar.bv import BVExtension
-from jetvar.core import EVEN, Grading, grading_of
+from jetvar.core import EVEN, Expression, Grading, grading_of
 from jetvar.errors import (
     IndexRangeError,
     ParseError,
     UndeclaredIdentifierError,
 )
-from jetvar.models import builtin
-from jetvar.parser import parse_assignments, parse_expression, parse_model
-from jetvar.theory import Theory
+from jetvar.models import builtin, model_source
+from jetvar.parser import parse_assignments, parse_expression, parse_model, parse_operator
+from jetvar.theory import NoetherOperator, Theory
 
 
 @pytest.fixture
@@ -111,6 +113,13 @@ class TestEinstein:
         assert f == sig.one()
         assert parse_expression("eps[2,1,3]", theory) == -sig.one()
         assert parse_expression("eps[1,1,3]", theory).is_zero()
+
+    def test_letter_bound_by_an_enclosing_product(self):
+        # the inner products take the value the outer sum gives i; they do not sum again
+        theory = builtin("free_particle").theory
+        sig = theory.signature
+        expected = Expression.sum(sig, [sig.coord("u", (i,)) ** 4 for i in (1, 2, 3)])
+        assert parse_expression("u[i]*(u[i]*(u[i]*u[i]))", theory) == expected
 
     def test_too_many_occurrences(self, free):
         theory = builtin("free_particle").theory
@@ -210,3 +219,139 @@ class TestAssignments:
         theory = builtin("free_particle").theory
         with pytest.raises(ParseError):
             parse_assignments("u[i]=t; u[1]=t", theory)
+
+
+class TestStaticChecks:
+    """Index checks that do not depend on the order of the factors."""
+
+    U2 = "vars t\nfield u[1..2]\ndef K[a] = u[a]\n"
+
+    @pytest.mark.parametrize(
+        "lagrangian, message, where",
+        [
+            ("u[3]*0 + u[1]", "component 3 of 'u' outside 1..2", (4, 14)),
+            ("0*u[3] + u[1]", "component 3 of 'u' outside 1..2", (4, 16)),
+            ("(u[1]-u[1])*u[3] + u[1]", "component 3 of 'u' outside 1..2", (4, 26)),
+            ("d(u[1];3)*0", "derivative slot 3 outside the 1 declared variables", (4, 19)),
+            ("0*d(u[1];3)", "derivative slot 3 outside the 1 declared variables", (4, 21)),
+            # a def argument fails where the body uses it, as when evaluated
+            ("K[3]*0", "component 3 of 'u' outside 1..2", (3, 14)),
+            ("0*K[3]", "component 3 of 'u' outside 1..2", (3, 14)),
+        ],
+    )
+    def test_ranges_are_checked_in_every_factor_order(self, lagrangian, message, where):
+        with pytest.raises(IndexRangeError, match=message) as err:
+            parse_model(self.U2 + f"lagrangian {lagrangian}\n")
+        assert (err.value.line, err.value.column) == where
+
+    def test_def_argument_checked_through_nested_defs(self):
+        src = self.U2 + "def L[b] = d(K[b];t) + K[b]\nlagrangian 0*L[5]\n"
+        with pytest.raises(IndexRangeError, match="component 5 of 'u'") as err:
+            parse_model(src)
+        assert (err.value.line, err.value.column) == (3, 14)
+
+    @pytest.mark.parametrize(
+        "lagrangian, error",
+        [
+            ("0*(u[i]*u[i]*u[i])", "appears more than twice"),
+            ("0*u[1]^-1", "negative exponents require a parameter monomial"),
+            ("u[1]^-1*0", "negative exponents require a parameter monomial"),
+        ],
+    )
+    def test_product_checks_do_not_stop_at_a_zero_factor(self, lagrangian, error):
+        with pytest.raises(ParseError, match=error):
+            parse_model(self.U2 + f"lagrangian {lagrangian}\n")
+
+
+def _count_parse_work(monkeypatch, source):
+    """Def-body evaluations, node analyses, AST nodes and products of one parse."""
+    counts = Counter()
+    bodies = set()
+    make_def = parser.DefEntry
+
+    def def_entry(params, body):
+        bodies.add(id(body))
+        return make_def(params, body)
+
+    def counted(cls, name, key, when=lambda *args: True):
+        original = getattr(cls, name)
+
+        def wrapper(*args):
+            if when(*args):
+                counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    monkeypatch.setattr(parser, "DefEntry", def_entry)
+    counted(parser.Node, "__init__", "nodes")
+    counted(parser.Expander, "_eval", "bodies", lambda self, node, env: id(node) in bodies)
+    counted(parser.Expander, "_analyse", "analyses")
+    counted(Expression, "__mul__", "mul")
+    parse_model(source)
+    first = dict(counts)
+    counts.clear()
+    parse_model(source)
+    assert dict(counts) == first
+    return first
+
+
+def test_parse_model_evaluates_each_def_instance_once(monkeypatch):
+    counts = _count_parse_work(monkeypatch, model_source("yang_mills_su2", dim=4))
+    # before the analysis pass and the instance memo, this parse evaluated 168
+    # def bodies for 48 instances F[a,mu,nu], called the letter analysis 4911
+    # times on 55 AST nodes, and made 4709 products (1563 with the memo but
+    # without folding scalar factors, 870 with both)
+    assert counts["bodies"] <= 48
+    assert counts["analyses"] <= counts["nodes"]
+    assert counts["mul"] <= 4709 // 2
+    assert counts["mul"] <= 1000
+
+
+# E[p,q] contracts its letters r, s through the metric; inlined by hand it is
+# ((d(A[p,s];r) - d(A[p,r];s))*(d(A[q,s];r) - d(A[q,r];s)))
+_MEMO_HEAD = "vars t, x\nmetric diag(1, -1)\nfield A[1..2, dim]\nghost C[1..2]\n"
+_MEMO_LINES = (
+    "lagrangian -1/4 * E[a,a]\n"
+    "gauge C[g]: -(E[1,1] + E[1,2]) * d(EL(A[g,nu]); nu)\n"
+    "master -1/4 * E[a,a] + E[1,2] * A*[b,mu] * d(C[b];mu)\n"
+)
+
+
+def _inlined(p, q):
+    return f"((d(A[{p},s];r) - d(A[{p},r];s))*(d(A[{q},s];r) - d(A[{q},r];s)))"
+
+
+def test_def_instances_match_the_inlined_model():
+    """The lagrangian, gauge (no metric) and master expanders each get the
+    right instance: a memo shared across modes or keyed by name alone fails."""
+    with_def = parse_model(
+        _MEMO_HEAD + "def E[p,q] = (d(A[p,s];r) - d(A[p,r];s))*(d(A[q,s];r) - d(A[q,r];s))\n"
+        + _MEMO_LINES
+    )
+    lines = _MEMO_LINES
+    for p, q in (("a", "a"), ("1", "1"), ("1", "2")):
+        lines = lines.replace(f"E[{p},{q}]", _inlined(p, q))
+    inlined = parse_model(_MEMO_HEAD + lines)
+    assert "E[" not in lines
+    assert with_def.base == inlined.base
+    tables = [
+        {comp: op.coefficients for comp, op in bv.gauge[0].operators.items()}
+        for bv in (with_def, inlined)
+    ]
+    assert tables[0] == tables[1]
+    assert with_def.master_action.density.expr == inlined.master_action.density.expr
+    # the gauge coefficient -(E[1,1] + E[1,2]) has no metric factors
+    with_metric = parse_expression(_inlined(1, 1) + " + " + _inlined(1, 2), with_def.base)
+    assert tables[0][(1,)][("A", (1, 0))][(1, 0)] != -with_metric
+
+
+def test_parse_operator_matches_the_gauge_line():
+    bv = builtin("yang_mills_su2", dim=2).bv
+    theory = bv.base
+    for comp, op in bv.gauge[0].operators.items():
+        g = comp[0]
+        table = parse_operator(f"-d(EL(A[{g},nu]); nu) - eps[{g},a,c]*A[a,nu]*EL(A[c,nu])", theory)
+        assert NoetherOperator(theory, table).coefficients == op.coefficients
+    with pytest.raises(ParseError):
+        parse_operator("u", builtin("free_particle").theory)

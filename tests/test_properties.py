@@ -1,6 +1,6 @@
 """Property tests of the kernel's canonical order, sum accumulator, atom
-invariant, substitution and powers, and of the evolutionary derivation behind
-prolongations, d_KT and X_F."""
+invariant, substitution and powers, of the evolutionary derivation behind
+prolongations, d_KT and X_F, and of the printer/parser round trip."""
 
 import functools
 import operator
@@ -30,6 +30,8 @@ from jetvar.core import (  # noqa: E402
     substitute,
 )
 from jetvar.errors import GeneratorMismatchError, GradingViolationError  # noqa: E402
+from jetvar.parser import parse_expression  # noqa: E402
+from jetvar.printer import format_expression  # noqa: E402
 from jetvar.theory import Theory, on_shell_reduce  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -191,7 +193,7 @@ def _bv_signature(n: int) -> Signature:
     return Signature(list(base.generators) + extra, base.metric)
 
 
-BV_SIGS = {n: _bv_signature(n) for n in (1, 2)}
+BV_SIGS = {n: _bv_signature(n) for n in (1, 2, 3)}
 
 
 def _of_parity(e: Expression, parity: int) -> Expression:
@@ -337,3 +339,17 @@ def test_power_laws(n, data):
     assert e ** 0 == sig.one()
     assert e ** (a + b) == e ** a * e ** b
     assert e ** (a + 1) == functools.reduce(operator.mul, [e] * (a + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_parse_inverts_format(n, data):
+    # odd fields, ghosts and antifields, derivatives in every variable, and
+    # Laurent terms in the parameter
+    sig = BV_SIGS[n]
+    e = data.draw(expressions(sig))
+    m = sig.from_atom(sig.atom("m"))
+    for k in data.draw(st.lists(st.integers(1, 3), max_size=2)):
+        e = e + invert_monomial(m ** k) * data.draw(expressions(sig, max_terms=2))
+    assert parse_expression(format_expression(e), sig) == e
