@@ -21,9 +21,15 @@ term is summed over its slot's range; when both slots are metric slots
 (derivative positions, or component slots declared ``dim``) each value
 contributes one inverse-metric diagonal factor.  ``eps[...]`` is the totally
 antisymmetric symbol on whatever range its letters are contracted against.
-In gauge-operator expressions all sums are plain: the operator pairs with
-the Euler-Lagrange system rather than contracting indices, so no metric
-factors are inserted there.
+A product contracts its own repeated letters: a letter summed in a nested
+product is summed there again, never bound by an enclosing product.
+
+Gauge operators are evaluated by the same product evaluator over the
+signature extended by one even formal jet coordinate ``EL(g)`` per generator
+``g``, with ``g``'s component slots, so ``d`` of a product expands by Leibniz.
+Each monomial of a term must then read ``coeff * D_alpha EL(u)[c]``.  All
+sums there are plain: the operator pairs with the Euler-Lagrange system
+rather than contracting indices, so no metric factors are inserted.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .core import (
     GHOST,
     Generator,
     Grading,
+    Monomial,
     ODD,
     PARAM,
     Signature,
@@ -91,9 +98,9 @@ def tokenize(text: str, line: int = 1, col0: int = 1) -> List[Token]:
                 i += 1
             continue
         start_col = cur_col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], cur_line, start_col))
             cur_col += j - i
@@ -372,7 +379,7 @@ class _Walk:
 
     def __init__(self, bound):
         self.bound = bound  # letters the caller's environment binds
-        self.products = []  # (product, enclosing product, letter slots), in post-order
+        self.products = []  # (product, letter slots), in post-order
         self.checks = {}  # bound letter -> static range checks its value must pass
 
 
@@ -387,6 +394,11 @@ class Expander:
     """
 
     def __init__(self, sig: Signature, defs: Dict[str, DefEntry] = None, operator_mode=False):
+        self.base = sig
+        if operator_mode:
+            # EL(g) is an even jet coordinate after every generator of sig
+            formal = [Generator(f"EL({g.name})", FIELD, g.index_ranges) for g in sig.generators]
+            sig = Signature(sig.generators + tuple(formal), sig.metric)
         self.sig = sig
         self.defs = defs or {}
         self.operator_mode = operator_mode
@@ -411,11 +423,11 @@ class Expander:
         bound = frozenset(env)
         if self._roots.get(node) != bound:
             walk = _Walk(bound)
-            self._check_bound(node, self._analyse(node, 0, None, walk)[0], bound)
+            self._check_bound(node, self._analyse(node, 0, walk)[0], bound)
             self._plan_products(walk)
             self._roots[node] = bound
 
-    def _analyse(self, node: Node, level: int, outer, walk: _Walk):
+    def _analyse(self, node: Node, level: int, walk: _Walk):
         """Exposed letters with their slots, the number of nested sums (defs
         inlined) and whether a non-parameter is referenced; runs the static
         checks.  ``level`` counts the sums open above the node."""
@@ -423,10 +435,10 @@ class Expander:
         if kind == "num":
             return {}, 0, False
         if kind == "neg":
-            return self._analyse(node.data, level, outer, walk)
+            return self._analyse(node.data, level, walk)
         if kind == "pow":
             base, exp = node.data
-            letters, height, nonparam = self._analyse(base, level, outer, walk)
+            letters, height, nonparam = self._analyse(base, level, walk)
             if letters:
                 raise ParseError(
                     "index letters cannot appear under an exponent", node.line, node.col
@@ -448,7 +460,7 @@ class Expander:
                 )
             exposed, height, nonparam = None, 0, False
             for _, term in node.data:
-                letters, h, n = self._analyse(term, level + 1, outer, walk)
+                letters, h, n = self._analyse(term, level + 1, walk)
                 over = {k for k, v in letters.items() if len(v) == 1}
                 if exposed is None:
                     exposed = {k: letters[k] for k in over}
@@ -461,43 +473,38 @@ class Expander:
         if kind == "mul":
             letters, height, nonparam = {}, 0, False
             for f in node.data:
-                inner, h, n = self._analyse(f, level, node, walk)
+                inner, h, n = self._analyse(f, level, walk)
                 for k, v in inner.items():
                     letters.setdefault(k, []).extend(v)
                 height, nonparam = max(height, h), nonparam or n
-            walk.products.append((node, outer, letters))
+            walk.products.append((node, letters))
             return letters, height, nonparam
         if kind == "eps":
             return self._exposed(node.data, [Slot(0, 0, None)] * 3), 0, False
         if kind == "d":
             body, slot = node.data
-            letters, height, _ = self._analyse(body, level, outer, walk)
+            letters, height, _ = self._analyse(body, level, walk)
             letters = {k: list(v) for k, v in letters.items()}
             self._static_check(slot, [(0, self.sig.nvars - 1, slot, None)], walk)
             for k, v in self._exposed([slot], [Slot(0, self.sig.nvars - 1, True)]).items():
                 letters.setdefault(k, []).extend(v)
             return letters, height, True
-        if kind == "el":
+        if kind in ("ref", "el"):
+            # EL(u[...]) is checked like u[...]; its errors name u
             name, idx = node.data
-            gen = self._generator(name, node)
-            slots = [Slot(lo, hi, False) for lo, hi in gen.index_ranges]
-            return self._exposed(idx, slots), 0, True
-        if kind == "ref":
-            name, idx = node.data
-            if name in self.defs:
+            if kind == "ref" and name in self.defs:
                 return self._analyse_def_ref(node, level, walk)
             gen = self._generator(name, node)
             if len(idx) != len(gen.index_ranges):
+                got = f", got {len(idx)}" if kind == "ref" else ""
                 raise IndexRangeError(
-                    f"{name!r} takes {len(gen.index_ranges)} indices, got {len(idx)}",
-                    node.line,
-                    node.col,
+                    f"{name!r} takes {len(gen.index_ranges)} indices{got}", node.line, node.col
                 )
             for item, (lo, hi) in zip(idx, gen.index_ranges):
                 self._static_check(item, [(lo, hi, item, name)], walk)
             metric = gen.metric_slots or (False,) * len(gen.index_ranges)
             slots = [Slot(lo, hi, bool(ms)) for (lo, hi), ms in zip(gen.index_ranges, metric)]
-            return self._exposed(idx, slots), 0, gen.role != PARAM
+            return self._exposed(idx, slots), 0, kind == "el" or gen.role != PARAM
         raise AssertionError(f"unhandled node {kind}")
 
     def _analyse_def_ref(self, node: Node, level: int, walk: _Walk):
@@ -517,7 +524,7 @@ class Expander:
             inner = _Walk(frozenset(entry.params))
             self._open.append(name)
             try:
-                letters, height, nonparam = self._analyse(entry.body, level, None, inner)
+                letters, height, nonparam = self._analyse(entry.body, level, inner)
             finally:
                 self._open.pop()
             for param in entry.params:
@@ -533,7 +540,7 @@ class Expander:
         if level + height - 1 > _Parser.MAX_NESTING:
             # deeper here than where it was first analysed: walk it again at
             # this depth to raise at the sum that is too deep
-            self._analyse(entry.body, level, None, _Walk(frozenset(entry.params)))
+            self._analyse(entry.body, level, _Walk(frozenset(entry.params)))
         for item, param in zip(idx, entry.params):
             self._static_check(item, checks.get(param, []), walk)
         return self._exposed(idx, slots), height, nonparam
@@ -576,14 +583,12 @@ class Expander:
                 raise ParseError(f"unbound index letter {letter!r}", node.line, node.col)
 
     def _plan_products(self, walk: _Walk) -> None:
-        # reversed post-order meets each product before the products inside it,
-        # whose environment also binds the letters it contracts
-        bound = {None: walk.bound}
-        for node, outer, letters in reversed(walk.products):
-            plan = self._plan(node, letters, bound[outer])
-            bound[node] = bound[outer] | set(plan.letters)
+        # every product contracts its own repeated letters, so only the root
+        # environment binds; outer products first, so their errors win
+        for node, letters in reversed(walk.products):
+            self._plan(node, letters, walk.bound)
 
-    def _plan(self, node: Node, letters, bound) -> _Plan:
+    def _plan(self, node: Node, letters, bound) -> None:
         pairs = []
         for letter, slots in sorted(letters.items()):
             if letter in bound or len(slots) == 1:
@@ -625,10 +630,7 @@ class Expander:
                 eps.append(f.data)
             else:
                 factors.append(f)
-        plan = self._plans[node] = _Plan(
-            tuple(p[0] for p in pairs), assignments, scalar, eps, factors
-        )
-        return plan
+        self._plans[node] = _Plan(tuple(p[0] for p in pairs), assignments, scalar, eps, factors)
 
     def _is_variable(self, name: str) -> bool:
         return self.sig.has_generator(name) and self.sig.generator(name).role == VAR
@@ -639,11 +641,6 @@ class Expander:
         env = env or {}
         self._prepare(node, env)
         return self._eval(node, env)
-
-    def _assignments(self, plan: _Plan, env):
-        """(environment, inverse-metric factor) over the contracted assignments."""
-        for values, metric in plan.assignments:
-            yield {**env, **dict(zip(plan.letters, values))} if plan.letters else env, metric
 
     def _eval(self, node: Node, env) -> Expression:
         terms = node.data
@@ -659,7 +656,8 @@ class Expander:
         plan = self._plans[node]
         scalar = plan.scalar * sign
         parts = []
-        for inner, metric in self._assignments(plan, env):
+        for values, metric in plan.assignments:
+            inner = {**env, **dict(zip(plan.letters, values))} if plan.letters else env
             c = scalar * metric
             for idx in plan.eps:
                 c *= _eps_sign([self._index_value(item, inner) for item in idx])
@@ -681,8 +679,6 @@ class Expander:
         kind = node.kind
         if kind == "num":
             return self.sig.const(node.data)
-        if kind == "neg":
-            return -self._eval_factor(node.data, env)
         if kind == "pow":
             base, exp = node.data
             value = self._eval_factor(base, env)
@@ -703,10 +699,8 @@ class Expander:
             body, slot = node.data
             pos = self._slot_position(slot, env)
             return jetcalc.total_derivative(self._eval_factor(body, env), pos)
-        if kind == "ref":
+        if kind in ("ref", "el"):
             return self._eval_ref(node, env)
-        if kind == "el":
-            raise ParseError("EL(...) is only allowed in gauge operators", node.line, node.col)
         raise AssertionError(f"unhandled node {kind}")
 
     def _index_value(self, item: Index, env) -> int:
@@ -731,6 +725,8 @@ class Expander:
             gen = self.sig.generator(name)
             for v, (lo, hi), item in zip(values, gen.index_ranges, idx):
                 self._check_range(v, [(lo, hi, item, name)])
+            if node.kind == "el":
+                name = f"EL({name})"
             return self.sig.from_atom(self.sig.atom(name, values))
         value = self._instances.get((name, values))
         if value is None:
@@ -745,94 +741,33 @@ class Expander:
     # -- gauge operators -----------------------------------------------------------
 
     def operator_table(self, node: Node, env) -> Dict[tuple, Dict[tuple, Expression]]:
-        """Expand an EL(...)-linear expression into Noether-operator coefficients."""
+        """Expand an EL(...)-linear expression into Noether-operator coefficients:
+        each monomial of a term reads ``coeff * D_alpha EL(u)[c]``."""
         self._prepare(node, env)
+        base = self.base
+        nbase = len(base.generators)
         table: Dict[tuple, Dict[tuple, Expression]] = {}
         for sign, term in node.data:
-            for inner, metric in self._assignments(self._plans[term], env):
-                self._operator_term(term.data, sign * metric, inner, table, term)
-        return table
-
-    def _operator_term(self, factors, scale, env, table, node):
-        el_part = None
-        coeff = self.sig.const(scale)
-        for f in factors:
-            chain = self._el_chain(f, env)
-            if chain is not None:
-                if el_part is not None:
+            parts: Dict[tuple, list] = {}
+            for m in self._eval_product(term, env, sign).terms:
+                # EL coordinates are even and sort after every base atom
+                if not m.even or m.even[-1][0].gen < nbase:
                     raise ParseError(
-                        "gauge operator terms must be linear in EL(...)", node.line, node.col
+                        "gauge operator terms must contain one EL(...) factor", term.line, term.col
                     )
-                el_part = chain
-            else:
-                coeff = coeff * self._eval_factor(f, env)
-        if el_part is None:
-            raise ParseError(
-                "gauge operator terms must contain one EL(...) factor", node.line, node.col
-            )
-        (name, comp), mindex, sign = el_part
-        coeff = coeff * sign
-        if coeff.is_zero():
-            return
-        entry = table.setdefault((name, comp), {})
-        entry[mindex] = entry.get(mindex, self.sig.zero()) + coeff
-
-    def _el_chain(self, node: Node, env):
-        """Unwrap d(...; i) chains around an EL(...) head, or None.
-
-        Returns ((field, component), multi-index, sign); a leading minus is
-        part of the coefficient.
-        """
-        mindex = [0] * self.sig.nvars
-        sign = 1
-        while True:
-            if node.kind == "neg":
-                sign = -sign
-                node = node.data
-                continue
-            if node.kind == "sum" and len(node.data) == 1:
-                sign *= node.data[0][0]
-                node = node.data[0][1]
-                continue
-            if node.kind == "mul" and len(node.data) == 1:
-                node = node.data[0]
-                continue
-            if node.kind == "d":
-                body, slot = node.data
-                if not self._contains_el(body):
-                    return None
-                mindex[self._slot_position(slot, env)] += 1
-                node = body
-                continue
-            break
-        if node.kind != "el":
-            if self._contains_el(node):
-                raise ParseError(
-                    "EL(...) may only be nested under derivatives", node.line, node.col
-                )
-            return None
-        name, idx = node.data
-        gen = self.sig.generator(name)
-        comp = tuple(self._index_value(item, env) for item in idx)
-        if len(comp) != len(gen.index_ranges):
-            raise IndexRangeError(
-                f"{name!r} takes {len(gen.index_ranges)} indices", node.line, node.col
-            )
-        return (name, comp), tuple(mindex), sign
-
-    def _contains_el(self, node: Node) -> bool:
-        if node.kind == "el":
-            return True
-        if node.kind in ("neg", "pow"):
-            inner = node.data if node.kind == "neg" else node.data[0]
-            return self._contains_el(inner)
-        if node.kind == "d":
-            return self._contains_el(node.data[0])
-        if node.kind == "mul":
-            return any(self._contains_el(f) for f in node.data)
-        if node.kind == "sum":
-            return any(self._contains_el(t) for _, t in node.data)
-        return False
+                el, power = m.even[-1]
+                if power > 1 or (len(m.even) > 1 and m.even[-2][0].gen >= nbase):
+                    raise ParseError(
+                        "gauge operator terms must be linear in EL(...)", term.line, term.col
+                    )
+                field = (base.generators[el.gen - nbase].name, el.comp)
+                coeff = Monomial(m.coeff, m.even[:-1], m.odd)
+                parts.setdefault((field, el.mindex), []).append(coeff)
+            for (field, mindex), monomials in parts.items():
+                entry = table.setdefault(field, {})
+                coeff = Expression.from_terms(base, monomials)
+                entry[mindex] = entry.get(mindex, base.zero()) + coeff
+        return table
 
 
 def _eps_sign(values) -> int:

@@ -3,6 +3,8 @@
 import io
 import pathlib
 
+import pytest
+
 from jetvar import cli
 from jetvar.cli import EXIT_INTERNAL, cli_dispatch
 from jetvar.parser import _Parser
@@ -48,6 +50,29 @@ def test_noether_identity_maxwell():
     code, text = run("noether", str(MODELS / "maxwell.jv"), "--op", "d(EL(A[nu]);nu)")
     assert code == 0
     assert "noether identity: yes" in text
+
+
+_LINEAR = "gauge operator terms must be linear in EL(...)"
+_ONE_EL = "gauge operator terms must contain one EL(...) factor"
+_RANGE = "component 5 of 'A' outside 1..3"
+
+
+@pytest.mark.parametrize(
+    "model, op, code, text",
+    [
+        ("free.jv", "u", 2, f"parse error: 1:1: {_ONE_EL}\n"),
+        ("free.jv", "EL(u) + u", 2, f"parse error: 1:9: {_ONE_EL}\n"),
+        ("free.jv", "EL(u)*EL(u)", 2, f"parse error: 1:1: {_LINEAR}\n"),
+        ("free.jv", "EL(u) + m*d(EL(u)*EL(u);t)", 2, f"parse error: 1:9: {_LINEAR}\n"),
+        ("free.jv", "(EL(u) + u)*m", 2, f"parse error: 1:1: {_ONE_EL}\n"),
+        ("free.jv", "(EL(u) + 1)^2", 2, f"parse error: 1:1: {_ONE_EL}\n"),
+        ("free.jv", "EL(m)", 3, "error: 'm' is not a field\n"),
+        ("yang_mills_su2.jv", "EL(A[1])", 2, "parse error: 1:1: 'A' takes 2 indices\n"),
+        ("yang_mills_su2.jv", "EL(A[5,0])", 2, f"parse error: 1:6: {_RANGE}\n"),
+    ],
+)
+def test_noether_operator_errors(model, op, code, text):
+    assert run("noether", str(MODELS / model), "--op", op) == (code, text)
 
 
 def test_master_commands():
@@ -164,6 +189,15 @@ def test_def_chain_up_to_the_limit_parses(tmp_path):
     assert (code, text) == (0, "EL[u] = 2 * u\n")
     code, _ = run("el", _def_chain(tmp_path, _Parser.MAX_NESTING + 1))
     assert code == 2
+
+
+def test_only_decimal_digits_are_numbers(tmp_path):
+    path = tmp_path / "digits.jv"
+    path.write_text("vars t\nfield u\nlagrangian u^\u00b2\n", encoding="utf-8")
+    assert run("el", str(path)) == (2, "parse error: 3:14: unexpected character '\u00b2'\n")
+    # ARABIC-INDIC DIGIT TWO is a decimal digit
+    path.write_text("vars t\nfield u\nlagrangian u^\u0662\n", encoding="utf-8")
+    assert run("el", str(path)) == (0, "EL[u] = 2 * u\n")
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,7 @@
 """Property tests of the kernel's canonical order, sum accumulator, atom
 invariant, substitution and powers, of the evolutionary derivation behind
-prolongations, d_KT and X_F, and of the printer/parser round trip."""
+prolongations, d_KT and X_F, of the printer/parser round trip, and of gauge
+operators read back from their printed form."""
 
 import functools
 import operator
@@ -30,7 +31,7 @@ from jetvar.core import (  # noqa: E402
     substitute,
 )
 from jetvar.errors import GeneratorMismatchError, GradingViolationError  # noqa: E402
-from jetvar.parser import parse_expression  # noqa: E402
+from jetvar.parser import parse_expression, parse_operator  # noqa: E402
 from jetvar.printer import format_expression  # noqa: E402
 from jetvar.theory import Theory, on_shell_reduce  # noqa: E402
 
@@ -353,3 +354,63 @@ def test_parse_inverts_format(n, data):
     for k in data.draw(st.lists(st.integers(1, 3), max_size=2)):
         e = e + invert_monomial(m ** k) * data.draw(expressions(sig, max_terms=2))
     assert parse_expression(format_expression(e), sig) == e
+
+
+_EL_KEYS = {
+    n: [(g.name, c) for g in SIGS[n].generators if g.role == FIELD for c in g.components()]
+    for n in (1, 2)
+}
+
+
+def _el_text(sig, key, mindex):
+    name, comp = key
+    text = f"EL({name}[{','.join(map(str, comp))}])" if comp else f"EL({name})"
+    for var, k in zip(sig.variables, mindex):
+        for _ in range(k):
+            text = f"d({text};{var.name})"
+    return text
+
+
+def _nonzero(table):
+    out = {}
+    for key, entry in table.items():
+        entry = {mindex: c for mindex, c in entry.items() if c}
+        if entry:
+            out[key] = entry
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_parse_operator_reads_back_a_printed_table(n, data):
+    sig = SIGS[n]
+    mindices = st.tuples(*[st.integers(0, 2)] * n)
+    table = {}
+    keys = st.lists(st.sampled_from(_EL_KEYS[n]), min_size=1, max_size=3, unique=True)
+    for key in data.draw(keys):
+        chosen = data.draw(st.lists(mindices, min_size=1, max_size=2, unique=True))
+        table[key] = {mindex: data.draw(expressions(sig, max_terms=2)) for mindex in chosen}
+    text = " + ".join(
+        f"({format_expression(coeff)}) * {_el_text(sig, key, mindex)}"
+        for key, entry in table.items()
+        for mindex, coeff in entry.items()
+    )
+    assert parse_operator(text, sig) == _nonzero(table)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_operator_derivative_of_a_product_is_leibniz(n, data):
+    sig = SIGS[n]
+    f = data.draw(expressions(sig, max_terms=3))
+    key = data.draw(st.sampled_from(_EL_KEYS[n]))
+    pos = data.draw(st.integers(0, n - 1))
+    x = sig.variables[pos].name
+    el, ft = _el_text(sig, key, (0,) * n), format_expression(f)
+    expanded = parse_operator(f"d({ft};{x})*{el} + ({ft})*d({el};{x})", sig)
+    assert parse_operator(f"d(({ft})*{el};{x})", sig) == expanded
+    shifted = tuple(int(i == pos) for i in range(n))
+    expected = {key: {(0,) * n: jetcalc.total_derivative(f, pos), shifted: f}}
+    assert expanded == _nonzero(expected)

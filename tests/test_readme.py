@@ -1,4 +1,5 @@
-"""The README's command-line examples, run and compared with their printed output."""
+"""The README's command-line examples, run and compared with their printed
+output, and its model-file and library examples, run and checked."""
 
 import io
 import pathlib
@@ -7,16 +8,24 @@ import shlex
 
 import pytest
 
+from jetvar import check_master_equation, parse_model
+from jetvar.bv import BVExtension
 from jetvar.cli import cli_dispatch
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _blocks(tag):
+    """The bodies of the README's fenced blocks tagged ``tag`` ('' for untagged)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, flags=re.M | re.S)
+    return [body for kind, body in blocks if kind == tag]
+
+
 def _examples():
     """(command line, expected output) for every ``$ jetvar`` line in a ``sh`` block."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
     out = []
-    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+    for block in _blocks("sh"):
         command = None
         for line in block.splitlines():
             if line.startswith("$ jetvar "):
@@ -42,3 +51,17 @@ def test_readme_example(command, expected, monkeypatch):
     out = io.StringIO()
     cli_dispatch(shlex.split(command)[1:], out=out)
     assert out.getvalue() == expected
+
+
+def test_readme_model_file_holds_its_master_equation():
+    (source,) = [block for block in _blocks("") if block.startswith("vars ")]
+    bv = parse_model(source)
+    assert isinstance(bv, BVExtension)
+    assert check_master_equation(bv).holds
+
+
+def test_readme_library_example():
+    (code,) = _blocks("python")
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["report"].holds
