@@ -17,8 +17,7 @@ local functionals; that is also where the master equation is tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
     ANTIFIELD,
@@ -61,8 +60,7 @@ def antifield_grading(g: Grading, role: str) -> Grading:
     return Grading((g.parity + 1) % 2, -g.ghost - 1, afn)
 
 
-@dataclass(frozen=True)
-class GaugePair:
+class GaugePair(NamedTuple):
     """A ghost together with the Noether identities it resolves, per component."""
 
     ghost: Generator
@@ -292,8 +290,7 @@ def brst_apply(bv: BVExtension, e: Expression) -> Expression:
     return antibracket_density(bv, bv.master_action, e)
 
 
-@dataclass(frozen=True)
-class MasterReport:
+class MasterReport(NamedTuple):
     holds: bool
     residual: LocalFunctional
 

@@ -11,7 +11,6 @@ sorting odd factors into the canonical atom order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -38,19 +37,17 @@ JET_ROLES = (FIELD, GHOST, ANTIFIELD)
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(NamedTuple("Grading", [("parity", int), ("ghost", int), ("antifield", int)])):
     """Parity, ghost number, and antifield number of a homogeneous element."""
 
-    parity: int
-    ghost: int = 0
-    antifield: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be 0 (even) or 1 (odd), got {self.parity}")
-        if self.antifield < 0:
+    def __new__(cls, parity: int, ghost: int = 0, antifield: int = 0):
+        if parity not in (EVEN, ODD):
+            raise ValueError(f"parity must be 0 (even) or 1 (odd), got {parity}")
+        if antifield < 0:
             raise ValueError("antifield number must be nonnegative")
+        return super().__new__(cls, parity, ghost, antifield)
 
     def __add__(self, other: "Grading") -> "Grading":
         return Grading(
@@ -67,8 +64,8 @@ class Grading:
 EVEN_GRADING = Grading(EVEN, 0, 0)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple("Generator", [("name", str), ("role", str), ("index_ranges", tuple),
+                                         ("grading", Grading), ("metric_slots", tuple)])):
     """A declared symbol family: variable, parameter, field, ghost, or antifield.
 
     ``index_ranges`` are inclusive ``(lo, hi)`` pairs, one per component slot.
@@ -76,29 +73,27 @@ class Generator:
     contract with the metric in the frontend; the kernel ignores it.
     """
 
-    name: str
-    role: str
-    index_ranges: tuple = ()
-    grading: Grading = EVEN_GRADING
-    metric_slots: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.role not in (VAR, PARAM, FIELD, GHOST, ANTIFIELD):
-            raise ValueError(f"unknown generator role {self.role!r}")
-        if self.role in (VAR, PARAM):
-            if self.grading != EVEN_GRADING:
-                raise ValueError(f"{self.role} {self.name!r} must be even with ghost number 0")
-            if self.index_ranges:
-                raise ValueError(f"{self.role} {self.name!r} cannot carry index ranges")
-        if self.role == GHOST and self.grading.ghost < 1:
-            raise ValueError(f"ghost {self.name!r} must have ghost number >= 1")
-        if self.role == ANTIFIELD and self.grading.ghost > -1:
-            raise ValueError(f"antifield {self.name!r} must have ghost number <= -1")
-        if self.role in (VAR, PARAM, FIELD, GHOST) and self.grading.antifield != 0:
-            raise ValueError(f"{self.role} {self.name!r} must have antifield number 0")
-        for lo, hi in self.index_ranges:
+    def __new__(cls, name: str, role: str, index_ranges: tuple = (),
+                grading: Grading = EVEN_GRADING, metric_slots: tuple = ()):
+        if role not in (VAR, PARAM, FIELD, GHOST, ANTIFIELD):
+            raise ValueError(f"unknown generator role {role!r}")
+        if role in (VAR, PARAM):
+            if grading != EVEN_GRADING:
+                raise ValueError(f"{role} {name!r} must be even with ghost number 0")
+            if index_ranges:
+                raise ValueError(f"{role} {name!r} cannot carry index ranges")
+        if role == GHOST and grading.ghost < 1:
+            raise ValueError(f"ghost {name!r} must have ghost number >= 1")
+        if role == ANTIFIELD and grading.ghost > -1:
+            raise ValueError(f"antifield {name!r} must have ghost number <= -1")
+        if role in (VAR, PARAM, FIELD, GHOST) and grading.antifield != 0:
+            raise ValueError(f"{role} {name!r} must have antifield number 0")
+        for lo, hi in index_ranges:
             if lo > hi:
-                raise ValueError(f"empty index range {lo}..{hi} on {self.name!r}")
+                raise ValueError(f"empty index range {lo}..{hi} on {name!r}")
+        return super().__new__(cls, name, role, index_ranges, grading, metric_slots)
 
     def components(self):
         """Iterate all component tuples of this generator."""
@@ -335,9 +330,11 @@ class Expression:
 
     Instances are immutable; all arithmetic returns new normalized values.
     Two expressions are equal iff their signatures and term lists coincide.
+    ``jetcalc`` fills ``_sweeps`` (left unset here) with its derivative sweeps
+    on first use, the way ``Theory`` fills ``_el``.
     """
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ("sig", "terms", "_sweeps")
 
     def __init__(self, sig: Signature, terms: tuple):
         object.__setattr__(self, "sig", sig)

@@ -3,6 +3,13 @@
 All functions act on normal-form expressions; the theory-level wrappers in
 ``jetvar.theory`` add the bookkeeping around densities and functionals.
 
+The Euler operator rests on one sweep per expression and side: a single pass
+over the terms gives every graded partial derivative, keyed by jet atom, and
+from those come all variational derivatives at once.  The variational
+derivatives are memoized on the expression for as long as it lives, and so
+are the partials of a side that something reads directly (``prolong_apply``
+reads the left ones); ``variational_derivative`` is a view of one component.
+
 The divergence test uses the kernel criterion: over a free (graded) jet
 algebra with polynomial base coefficients the variational complex is exact,
 so a density is a total divergence exactly when every variational derivative
@@ -111,31 +118,65 @@ def apply_multi_derivative(e: Expression, mindex: Sequence[int]) -> Expression:
     return e
 
 
+def _memo(e: Expression, compute, side: str) -> dict:
+    """``compute(e, side)``, stored on ``e`` for as long as ``e`` lives."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    memo = getattr(e, "_sweeps", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(e, "_sweeps", memo)
+    value = memo.get((compute, side))
+    if value is None:
+        value = memo[compute, side] = compute(e, side)
+    return value
+
+
+def _sweep(e: Expression, side: str) -> dict:
+    """One pass over the terms: every graded partial derivative, keyed by jet atom."""
+    jet = [g.role in JET_ROLES for g in e.sig.generators]
+    right = side == "right"
+    buckets = {}
+    for m in e.terms:
+        even, odd, c = m.even, m.odd, m.coeff
+        for idx, (a, x) in enumerate(even):
+            if jet[a.gen]:
+                rest = even[:idx] + ((a, x - 1),) if x != 1 else even[:idx]
+                buckets.setdefault(a, []).append(Monomial(c * x, rest + even[idx + 1:], odd))
+        last = len(odd) - 1
+        for j, a in enumerate(odd):
+            # odd generators are jet generators; the sign counts the odd factors passed
+            exposed = last - j if right else j
+            rest = odd[:j] + odd[j + 1:]
+            buckets.setdefault(a, []).append(Monomial(-c if exposed % 2 else c, even, rest))
+    return {a: Expression.from_terms(e.sig, monos) for a, monos in buckets.items()}
+
+
+def _euler(e: Expression, side: str) -> dict:
+    """Every variational derivative, keyed by (generator id, component); the
+    partials are kept only if something read them, so others are freed here."""
+    parts = {}
+    partials = e._sweeps.get((_sweep, side)) or _sweep(e, side)
+    for atom, partial in partials.items():
+        term = apply_multi_derivative(partial, atom.mindex)
+        parts.setdefault((atom.gen, atom.comp), []).append(-term if atom.order % 2 else term)
+    return {key: Expression.sum(e.sig, terms) for key, terms in parts.items()}
+
+
 def variational_derivative(
     e: Expression, name: str, comp: Sequence[int] = (), side: str = "left"
 ) -> Expression:
     """Euler-Lagrange derivative of a density with respect to one component.
 
-    Computes sum over occurring multi-indices of (-1)^|alpha| D_alpha of the
-    graded partial derivative; ``side`` selects the left or right variant for
-    odd targets.
+    Sum over occurring multi-indices of (-1)^|alpha| D_alpha of the graded
+    partial derivative; ``side`` selects the left or right variant for odd
+    targets.  A view of one component of the memoized Euler operator of ``e``.
     """
     sig = e.sig
     gid = sig.generator_id(name)
-    gen = sig.generators[gid]
-    if gen.role not in JET_ROLES:
+    if sig.generators[gid].role not in JET_ROLES:
         raise UnknownGeneratorError(f"{name!r} is not a field, ghost, or antifield")
-    comp = tuple(comp)
-    parts = []
-    for atom in e.jet_atoms():
-        if atom.gen != gid or atom.comp != comp:
-            continue
-        partial = partial_derivative(e, atom, side)
-        if partial.is_zero():
-            continue
-        term = apply_multi_derivative(partial, atom.mindex)
-        parts.append(-term if atom.order % 2 else term)
-    return Expression.sum(sig, parts)
+    return _memo(e, _euler, side).get((gid, tuple(comp)), sig.zero())
 
 
 def prolong_apply(
@@ -151,14 +192,10 @@ def prolong_apply(
     sig = e.sig
     by_id = {(sig.generator_id(n), tuple(c)): q for (n, c), q in characteristics.items()}
     parts = []
-    for atom in e.jet_atoms():
+    for atom, partial in _memo(e, _sweep, "left").items():
         q = by_id.get((atom.gen, atom.comp))
-        if not q:
-            continue
-        partial = partial_derivative(e, atom, "left")
-        if partial.is_zero():
-            continue
-        parts.append(apply_multi_derivative(q, atom.mindex) * partial)
+        if q:
+            parts.append(apply_multi_derivative(q, atom.mindex) * partial)
     return Expression.sum(sig, parts)
 
 

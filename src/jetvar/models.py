@@ -7,8 +7,7 @@ apart.  The expected tables are verified end-to-end by the test harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .bv import BVExtension, check_master_equation, extend_to_bv, koszul_tate_apply
 from .errors import UnknownGeneratorError
@@ -116,8 +115,7 @@ _EXPECTED = {
 }
 
 
-@dataclass
-class ModelDescriptor:
+class ModelDescriptor(NamedTuple):
     name: str
     source: str
     theory: Theory

@@ -35,7 +35,6 @@ rather than contracting indices, so no metric factors are inserted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -66,8 +65,7 @@ from .theory import NoetherOperator, Theory, _transfer
 # lexer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -139,8 +137,7 @@ def tokenize(text: str, line: int = 1, col0: int = 1) -> List[Token]:
 # AST
 
 
-@dataclass(frozen=True)
-class Index:
+class Index(NamedTuple):
     """One bracket or derivative slot: an integer, a variable, or a letter."""
 
     kind: str  # 'int' | 'letter'
@@ -278,7 +275,7 @@ class _Parser:
                 self.next()
                 idx = self.parse_indices() if self.peek().kind == "[" else []
                 self.expect(")")
-                return Node("el", (ref.text, idx), tok.line, tok.col)
+                return Node("el", (ref.text, idx, ref), tok.line, tok.col)
             self.next()
             idx = self.parse_indices() if self.peek().kind == "[" else []
             return Node("ref", (tok.text, idx), tok.line, tok.col)
@@ -351,15 +348,13 @@ class _Parser:
 # Einstein expansion
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     lo: int
     hi: int
     metric: Optional[bool]  # None: wildcard (eps), inherits from its partner
 
 
-@dataclass
-class DefEntry:
+class DefEntry(NamedTuple):
     params: Tuple[str, ...]
     body: Node
 
@@ -491,10 +486,13 @@ class Expander:
             return letters, height, True
         if kind in ("ref", "el"):
             # EL(u[...]) is checked like u[...]; its errors name u
-            name, idx = node.data
+            name, idx = node.data[:2]
             if kind == "ref" and name in self.defs:
                 return self._analyse_def_ref(node, level, walk)
             gen = self._generator(name, node)
+            if kind == "el" and gen.role != FIELD:
+                at = node.data[2]
+                raise ParseError(f"{name!r} is not a field", at.line, at.col)
             if len(idx) != len(gen.index_ranges):
                 got = f", got {len(idx)}" if kind == "ref" else ""
                 raise IndexRangeError(
@@ -718,7 +716,7 @@ class Expander:
         return v
 
     def _eval_ref(self, node: Node, env) -> Expression:
-        name, idx = node.data
+        name, idx = node.data[:2]
         values = tuple(self._index_value(item, env) for item in idx)
         entry = self.defs.get(name)
         if entry is None:

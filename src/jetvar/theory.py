@@ -9,7 +9,6 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -163,7 +162,6 @@ class LocalFunctional:
         return f"<LocalFunctional {self.expr!r}>"
 
 
-@dataclass
 class EvolutionaryVF:
     """An evolutionary vector field given by one characteristic per field component.
 
@@ -172,14 +170,11 @@ class EvolutionaryVF:
     and recorded at construction.
     """
 
-    theory: Theory
-    characteristics: Dict[Component, Expression]
-    shift: tuple = field(init=False)
-
-    def __post_init__(self):
-        sig = self.theory.signature
+    def __init__(self, theory: Theory, characteristics: Dict[Component, Expression]):
+        self.theory = theory
+        sig = theory.signature
         chars = {}
-        for (name, comp), q in self.characteristics.items():
+        for (name, comp), q in characteristics.items():
             sig.atom(name, comp)  # validates the component
             if sig.generator(name).role != FIELD:
                 raise UnknownGeneratorError(f"{name!r} is not a field")
@@ -225,7 +220,6 @@ def _transfer(e: Expression, sig: Signature) -> Expression:
     return Expression(sig, e.terms)
 
 
-@dataclass
 class NoetherOperator:
     """A linear differential operator to be paired against the EL system.
 
@@ -233,13 +227,11 @@ class NoetherOperator:
     derivative multi-indices to coefficient expressions.
     """
 
-    theory: Theory
-    coefficients: Dict[Component, Dict[tuple, Expression]]
-
-    def __post_init__(self):
-        sig = self.theory.signature
+    def __init__(self, theory: Theory, coefficients: Dict[Component, Dict[tuple, Expression]]):
+        self.theory = theory
+        sig = theory.signature
         clean = {}
-        for (name, comp), table in self.coefficients.items():
+        for (name, comp), table in coefficients.items():
             sig.atom(name, comp)
             if sig.generator(name).role != FIELD:
                 raise UnknownGeneratorError(f"{name!r} is not a field")
@@ -268,17 +260,14 @@ class NoetherOperator:
         return Expression.sum(sig, parts)
 
 
-@dataclass
 class Section:
     """Polynomial field values in the base variables and parameters."""
 
-    theory: Theory
-    values: Dict[Component, Expression]
-
-    def __post_init__(self):
-        sig = self.theory.signature
+    def __init__(self, theory: Theory, values: Dict[Component, Expression]):
+        self.theory = theory
+        sig = theory.signature
         clean = {}
-        for (name, comp), poly in self.values.items():
+        for (name, comp), poly in values.items():
             sig.atom(name, comp)
             gen = sig.generator(name)
             if gen.role != FIELD:

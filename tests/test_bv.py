@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetvar import jetcalc
+from jetvar import core, jetcalc, theory as theory_module
 from jetvar.bv import (
     antibracket,
     antibracket_density,
@@ -253,6 +253,34 @@ def test_el_system_is_computed_once(monkeypatch):
     assert len(calls) == 6
     with pytest.raises(AttributeError):
         theory.lagrangian = theory.lagrangian
+
+
+def test_master_check_sweeps_each_density_once(monkeypatch):
+    sweeps, walks = [], []
+    sweep = jetcalc._sweep
+
+    def counted_sweep(e, side):
+        sweeps.append((len(e.terms), side))
+        return sweep(e, side)
+
+    def counted_walk(e, atom, side="left"):
+        walks.append(atom)
+        return core.partial_derivative(e, atom, side)
+
+    monkeypatch.setattr(jetcalc, "_sweep", counted_sweep)
+    for module in (jetcalc, theory_module):
+        monkeypatch.setattr(module, "partial_derivative", counted_walk)
+    for _ in range(2):
+        bv = builtin("yang_mills_su2", dim=4).bv
+        sweeps.clear()
+        assert check_master_equation(bv).holds
+        # S (219 terms) once per side, the residual (972 terms) once for its verdict
+        assert sorted(sweeps) == [(219, "left"), (219, "right"), (972, "left")]
+        assert walks == []
+    # the sweeps of S live on S, so a repeat sweeps only the new residual
+    sweeps.clear()
+    assert check_master_equation(bv).holds
+    assert sweeps == [(972, "left")]
 
 
 class TestKoszulTate:

@@ -1,7 +1,10 @@
 """CLI subcommands, report text, and exit codes."""
 
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,13 +12,23 @@ from jetvar import cli
 from jetvar.cli import EXIT_INTERNAL, cli_dispatch
 from jetvar.parser import _Parser
 
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 def run(*argv):
     out = io.StringIO()
     code = cli_dispatch(list(argv), out=out)
     return code, out.getvalue()
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every fresh process pays for its imports; -S keeps site hooks out of the count
+    code = "import sys, jetvar.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_el_free_particle():
@@ -66,7 +79,8 @@ _RANGE = "component 5 of 'A' outside 1..3"
         ("free.jv", "EL(u) + m*d(EL(u)*EL(u);t)", 2, f"parse error: 1:9: {_LINEAR}\n"),
         ("free.jv", "(EL(u) + u)*m", 2, f"parse error: 1:1: {_ONE_EL}\n"),
         ("free.jv", "(EL(u) + 1)^2", 2, f"parse error: 1:1: {_ONE_EL}\n"),
-        ("free.jv", "EL(m)", 3, "error: 'm' is not a field\n"),
+        ("free.jv", "EL(m)", 2, "parse error: 1:4: 'm' is not a field\n"),
+        ("free.jv", "m*d(EL( t );t)", 2, "parse error: 1:9: 't' is not a field\n"),
         ("yang_mills_su2.jv", "EL(A[1])", 2, "parse error: 1:1: 'A' takes 2 indices\n"),
         ("yang_mills_su2.jv", "EL(A[5,0])", 2, f"parse error: 1:6: {_RANGE}\n"),
     ],

@@ -1,7 +1,8 @@
 """Property tests of the kernel's canonical order, sum accumulator, atom
 invariant, substitution and powers, of the evolutionary derivation behind
-prolongations, d_KT and X_F, of the printer/parser round trip, and of gauge
-operators read back from their printed form."""
+prolongations, d_KT and X_F, of the memoized derivative sweep behind the
+Euler operator, of the printer/parser round trip, and of gauge operators read
+back from their printed form."""
 
 import functools
 import operator
@@ -28,6 +29,7 @@ from jetvar.core import (  # noqa: E402
     Monomial,
     Signature,
     invert_monomial,
+    partial_derivative,
     substitute,
 )
 from jetvar.errors import GeneratorMismatchError, GradingViolationError  # noqa: E402
@@ -243,6 +245,70 @@ def test_derivation_obeys_graded_leibniz(n, data):
     sign = -1 if shift * parity else 1
     expected = jetcalc.prolong_apply(chars, a) * b + a * jetcalc.prolong_apply(chars, b) * sign
     assert jetcalc.prolong_apply(chars, a * b) == expected
+
+
+def _euler_reference(e: Expression, gid: int, comp: tuple, side: str) -> Expression:
+    """sum over the jet atoms of one component of (-1)^|alpha| D_alpha of the
+    graded partial derivative, one ``partial_derivative`` walk per atom."""
+    parts = []
+    for a in e.jet_atoms():
+        if (a.gen, a.comp) == (gid, comp):
+            term = jetcalc.apply_multi_derivative(partial_derivative(e, a, side), a.mindex)
+            parts.append(-term if a.order % 2 else term)
+    return Expression.sum(e.sig, parts)
+
+
+# each law takes both sides of one expression, so the two memos must not mix
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_sweep_partials_equal_partial_derivative(n, data):
+    e = data.draw(expressions(BV_SIGS[n], max_terms=5))
+    for side in ("left", "right"):
+        partials = jetcalc._memo(e, jetcalc._sweep, side)
+        assert set(partials) == e.jet_atoms()
+        for a, p in partials.items():
+            assert p == partial_derivative(e, a, side), (a, side)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_euler_components_equal_the_per_atom_definition(n, data):
+    sig = BV_SIGS[n]
+    e = data.draw(expressions(sig, max_terms=5))
+    for side in ("left", "right"):
+        euler = jetcalc._memo(e, jetcalc._euler, side)
+        assert set(euler) == {(a.gen, a.comp) for a in e.jet_atoms()}
+        for gid, gen in sig.jet_generators():
+            for comp in gen.components():
+                expected = _euler_reference(e, gid, comp, side)
+                assert jetcalc.variational_derivative(e, gen.name, comp, side) == expected
+                assert euler.get((gid, comp), sig.zero()) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_total_derivatives_commute(n, data):
+    sig = BV_SIGS[n]
+    e = data.draw(expressions(sig, max_terms=5))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    d = jetcalc.total_derivative
+    assert d(d(e, i), j) == d(d(e, j), i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_euler_operator_kills_total_derivatives(n, data):
+    e = data.draw(expressions(BV_SIGS[n], max_terms=5))
+    divergence = jetcalc.total_derivative(e, data.draw(st.integers(0, n - 1)))
+    for side in ("left", "right"):
+        assert not any(jetcalc._memo(divergence, jetcalc._euler, side).values())
+    assert jetcalc.is_total_divergence(divergence)
 
 
 EVEN_NAMES = ("t", "x", "y", "m", "u", "v")

@@ -16,6 +16,7 @@ from jetvar.errors import (
     OddDensityError,
     RewriteBudgetError,
     UnboundParameterError,
+    UnknownGeneratorError,
 )
 from jetvar.models import builtin
 from jetvar.theory import (
@@ -147,6 +148,11 @@ class TestNoether:
 
     def test_zero_operator(self, mech):
         assert noether_residual(mech, NoetherOperator(mech, {})).is_zero()
+
+    def test_non_field_rejected(self, mech):
+        # the frontend rejects EL(m) while parsing; library callers get this check
+        with pytest.raises(UnknownGeneratorError, match="'m' is not a field"):
+            NoetherOperator(mech, {("m", ()): {(0,): mech.signature.one()}})
 
     def test_time_derivative_is_not_an_identity(self, mech):
         sig = mech.signature
