@@ -5,8 +5,10 @@ field and ghost component.  The single normative grading convention: a
 generator of grading (p, g, 0) gets an antifield of grading
 (p+1 mod 2, -g-1, afn) with afn = 1 for fields and afn = 2 for ghosts.
 
-The antibracket is realized on densities through left/right variational
-derivatives,
+The antibracket is realized on densities through the Hamiltonian
+derivation X_F, whose characteristics are dR F/dPhi on each antifield Phi*
+and -dR F/dPhi* on each field or ghost Phi.  Paired with the left
+variational derivatives of G they give
 
     (F, G) = sum over generator pairs of
              dR F/dPhi * dL G/dPhi*  -  dR F/dPhi* * dL G/dPhi,
@@ -17,7 +19,7 @@ local functionals; that is also where the master equation is tested.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .core import (
     ANTIFIELD,
@@ -40,14 +42,12 @@ from .errors import (
 )
 from .theory import (
     Component,
-    Density,
     LocalFunctional,
     NoetherOperator,
     Theory,
     _transfer,
     euler_lagrange_system,
     noether_residual,
-    on_shell_reduce,
 )
 
 
@@ -107,7 +107,7 @@ class BVExtension:
         """Replace the candidate master action, revalidating the invariants."""
         if isinstance(density, str):
             density = self.theory.parse(density)
-        if isinstance(density, (LocalFunctional, Density)):
+        if isinstance(density, LocalFunctional):
             density = density.expr
         density = _transfer(density, self.signature)
         if density and parity_ghost_of(density) != (EVEN, 0):
@@ -116,7 +116,7 @@ class BVExtension:
             raise GradingViolationError(
                 "the antifield-number-0 part of the master action must equal the lagrangian"
             )
-        functional = LocalFunctional(Density(self.theory, density))
+        functional = LocalFunctional(self.theory, density)
         return BVExtension(self.base, self.theory, self.gauge, functional)
 
 
@@ -129,16 +129,14 @@ def antifield_component(e: Expression, level: int) -> Expression:
 def extend_to_bv(
     theory: Theory,
     gauge: Sequence[Tuple[Generator, Union[NoetherOperator, Dict[tuple, NoetherOperator]]]] = (),
-    on_shell_order: Optional[int] = None,
 ) -> BVExtension:
     """Adjoin ghosts and antifields and emit the minimal master-action proposal.
 
     Each gauge entry pairs a ghost generator with the Noether operator (or a
     mapping of ghost component to operator) whose identity it resolves; the
-    identities are verified exactly, or on-shell up to ``on_shell_order`` when
-    given.  The proposal couples every field antifield to the gauge
-    characteristic obtained from the operator's adjoint; higher ghost terms
-    are the caller's to add via ``with_master``.
+    identities are verified exactly, off shell.  The proposal couples every
+    field antifield to the gauge characteristic obtained from the operator's
+    adjoint; higher ghost terms are the caller's to add via ``with_master``.
     """
     sig = theory.signature
     pairs: List[GaugePair] = []
@@ -163,8 +161,6 @@ def extend_to_bv(
                     f"no Noether operator for ghost component {ghost_spec.name}{list(comp)}"
                 )
             residual = noether_residual(theory, op)
-            if residual and on_shell_order is not None:
-                residual = on_shell_reduce(residual, theory, on_shell_order)
             if residual:
                 raise NotAnIdentityError(residual)
             table[tuple(comp)] = op
@@ -201,7 +197,7 @@ def extend_to_bv(
                     )
                     q.append(-term if sum(mindex) % 2 else term)
                 proposal.append(star * Expression.sum(ext_sig, q))
-    master = LocalFunctional(Density(ext_theory, Expression.sum(ext_sig, proposal)))
+    master = LocalFunctional(ext_theory, Expression.sum(ext_sig, proposal))
     return BVExtension(theory, ext_theory, tuple(pairs), master)
 
 
@@ -210,17 +206,31 @@ def extend_to_bv(
 
 
 def _as_expression(f, sig: Signature) -> Expression:
-    if isinstance(f, (LocalFunctional, Density)):
+    if isinstance(f, LocalFunctional):
         f = f.expr
     if not isinstance(f, Expression):
-        raise TypeError("expected an expression, density, or local functional")
+        raise TypeError("expected an expression or a local functional")
     if f.sig != sig:
         raise GeneratorMismatchError("operand belongs to a different BV extension")
     return f
 
 
+def _hamiltonian_characteristics(bv: BVExtension, f: Expression) -> Dict[Component, Expression]:
+    """X_F's characteristics: dR F/dPhi on Phi* and -dR F/dPhi* on Phi."""
+    chars: Dict[Component, Expression] = {}
+    for (name, comp), (star, _) in bv.pairs():
+        rf_phi = jetcalc.variational_derivative(f, name, comp, side="right")
+        if rf_phi:
+            chars[(star, comp)] = rf_phi
+        rf_star = jetcalc.variational_derivative(f, star, comp, side="right")
+        if rf_star:
+            chars[(name, comp)] = -rf_star
+    return chars
+
+
 def antibracket_density(bv: BVExtension, f, g) -> Expression:
-    """Density of (F, G); defined up to a total divergence."""
+    """Density of (F, G): X_F's characteristics paired with dL G/dPhi; defined
+    up to a total divergence."""
     sig = bv.signature
     f = _as_expression(f, sig)
     g = _as_expression(g, sig)
@@ -228,22 +238,16 @@ def antibracket_density(bv: BVExtension, f, g) -> Expression:
         parity_ghost_of(f)
     if g:
         parity_ghost_of(g)
-    parts = []
-    for (name, comp), (star, _) in bv.pairs():
-        rf_phi = jetcalc.variational_derivative(f, name, comp, side="right")
-        lg_star = jetcalc.variational_derivative(g, star, comp, side="left")
-        if rf_phi and lg_star:
-            parts.append(rf_phi * lg_star)
-        rf_star = jetcalc.variational_derivative(f, star, comp, side="right")
-        lg_phi = jetcalc.variational_derivative(g, name, comp, side="left")
-        if rf_star and lg_phi:
-            parts.append(-(rf_star * lg_phi))
+    parts = (
+        q * jetcalc.variational_derivative(g, name, comp, "left")
+        for (name, comp), q in _hamiltonian_characteristics(bv, f).items()
+    )
     return Expression.sum(sig, parts)
 
 
 def antibracket(bv: BVExtension, f, g) -> LocalFunctional:
     """The antibracket of two local functionals over the extension."""
-    return LocalFunctional(Density(bv.theory, antibracket_density(bv, f, g)))
+    return LocalFunctional(bv.theory, antibracket_density(bv, f, g))
 
 
 def koszul_tate_apply(bv: BVExtension, e: Expression) -> Expression:
@@ -273,15 +277,7 @@ def hamiltonian_derivation(bv: BVExtension, f, e: Expression) -> Expression:
     the bracket's Leibniz rule holds with X_F inside the products.
     """
     sig = bv.signature
-    f = _as_expression(f, sig)
-    chars: Dict[Component, Expression] = {}
-    for (name, comp), (star, _) in bv.pairs():
-        rf_phi = jetcalc.variational_derivative(f, name, comp, side="right")
-        if rf_phi:
-            chars[(star, comp)] = rf_phi
-        rf_star = jetcalc.variational_derivative(f, star, comp, side="right")
-        if rf_star:
-            chars[(name, comp)] = -rf_star
+    chars = _hamiltonian_characteristics(bv, _as_expression(f, sig))
     return jetcalc.prolong_apply(chars, _as_expression(e, sig))
 
 

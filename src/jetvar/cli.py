@@ -31,7 +31,6 @@ from .theory import (
     euler_lagrange_system,
     integrate_on_box,
     noether_residual,
-    on_shell_reduce,
 )
 
 EXIT_OK = 0
@@ -133,8 +132,6 @@ def _cmd_noether(args, out):
     theory = _base_theory(parsed)
     op = NoetherOperator(theory, parse_operator(args.op, theory))
     residual = noether_residual(theory, op)
-    if residual and args.max_order is not None:
-        residual = on_shell_reduce(residual, theory, args.max_order)
     if residual.is_zero():
         out.write("noether identity: yes\n")
         return EXIT_OK
@@ -249,8 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--op", required=True,
                    help="operator paired with the EL system, e.g. 'd(EL(A[nu]);nu)'")
-    p.add_argument("--max-order", type=int, default=None,
-                   help="reduce the residual on-shell up to this jet order")
     common(p)
     p.set_defaults(func=_cmd_noether)
 

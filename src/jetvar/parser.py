@@ -24,9 +24,11 @@ antisymmetric symbol on whatever range its letters are contracted against.
 A product contracts its own repeated letters: a letter summed in a nested
 product is summed there again, never bound by an enclosing product.
 
-Gauge operators are evaluated by the same product evaluator over the
-signature extended by one even formal jet coordinate ``EL(g)`` per generator
-``g``, with ``g``'s component slots, so ``d`` of a product expands by Leibniz.
+``EL(`` always parses to an ``el`` node; the analysis rejects it outside
+operator mode.  Gauge operators are evaluated by the same product evaluator
+over the signature extended by one even formal jet coordinate ``EL(g)`` per
+generator ``g``, with ``g``'s component slots, so ``d`` of a product expands
+by Leibniz.
 Each monomial of a term must then read ``coeff * D_alpha EL(u)[c]``.  All
 sums there are plain: the operator pairs with the Euler-Lagrange system
 rather than contracting indices, so no metric factors are inserted.
@@ -163,10 +165,9 @@ class _Parser:
     # a few frames per level, so deeper input would hit Python's recursion limit
     MAX_NESTING = 100
 
-    def __init__(self, tokens: List[Token], allow_el: bool = False):
+    def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.allow_el = allow_el
         self.depth = 0
 
     def peek(self) -> Token:
@@ -266,9 +267,10 @@ class _Parser:
                 if len(idx) != 3:
                     raise ParseError("eps takes exactly 3 indices", tok.line, tok.col)
                 return Node("eps", idx, tok.line, tok.col)
-            if tok.text == "EL" and self.allow_el:
+            if tok.text == "EL" and self.tokens[self.pos + 1].kind == "(":
+                # the analysis accepts it only in operator mode
                 self.next()
-                self.expect("(")
+                self.next()
                 ref = self.peek()
                 if ref.kind != "name":
                     raise ParseError("EL(...) expects a field reference", ref.line, ref.col)
@@ -489,6 +491,10 @@ class Expander:
             name, idx = node.data[:2]
             if kind == "ref" and name in self.defs:
                 return self._analyse_def_ref(node, level, walk)
+            if kind == "el" and not self.operator_mode:
+                raise ParseError(
+                    "EL(...) is allowed only in gauge operators", node.line, node.col
+                )
             gen = self._generator(name, node)
             if kind == "el" and gen.role != FIELD:
                 at = node.data[2]
@@ -803,7 +809,7 @@ def parse_operator(text: str, context) -> Dict[tuple, Dict[tuple, Expression]]:
     field component -> derivative multi-index -> coefficient.  Operator
     indices pair with the EL system, so no metric factors are inserted."""
     sig = _context_signature(context)
-    ast = _Parser(tokenize(text), allow_el=True).parse_full()
+    ast = _Parser(tokenize(text)).parse_full()
     return Expander(sig, operator_mode=True).operator_table(ast, {})
 
 
@@ -952,7 +958,8 @@ def _logical_lines(text: str):
             line_no = i
         stripped = body.rstrip()
         if stripped.endswith("\\"):
-            pending = stripped[:-1] + " "
+            # keep the line break, so tokens after the join keep their positions
+            pending = stripped[:-1] + "\n"
             pending_line = line_no
             continue
         pending = ""
@@ -1059,7 +1066,7 @@ def parse_model(text: str):
             name_tok = rest.expect("name")
             letters = rest.letter_header()
             rest.expect(":")
-            body = _Parser(rest.tokens[rest.pos :], allow_el=True).parse_full()
+            body = rest.parse_full()
             builder.gauge_lines.append((name_tok, letters, body))
         elif keyword == "master":
             builder.master_ast = rest.parse_expr()

@@ -1,7 +1,8 @@
 """Theories, local functionals, symmetries, and Noether identities.
 
-A Theory packages a signature with a Lagrangian density.  Local functionals
-are densities considered modulo total divergences, which is exactly how the
+A Theory packages a signature with a Lagrangian density.  A density is a
+plain ``Expression`` over the theory's signature; ``LocalFunctional(theory,
+expr)`` is a density taken modulo total divergences, which is exactly how the
 Euler-Lagrange system, symmetry checks, and the evaluation pairing treat
 them.
 """
@@ -18,7 +19,6 @@ from .core import (
     EVEN_GRADING,
     Expression,
     FIELD,
-    JET_ROLES,
     Monomial,
     ODD,
     PARAM,
@@ -82,15 +82,13 @@ class Theory:
 
     # -- enumeration ----------------------------------------------------------
 
-    def components(self, roles=JET_ROLES):
-        out = []
-        for _, gen in self.signature.jet_generators():
-            if gen.role in roles:
-                out.extend((gen.name, comp) for comp in gen.components())
-        return out
-
     def field_components(self):
-        return self.components(roles=(FIELD,))
+        return [
+            (gen.name, comp)
+            for _, gen in self.signature.jet_generators()
+            if gen.role == FIELD
+            for comp in gen.components()
+        ]
 
     # -- conveniences -----------------------------------------------------------
 
@@ -99,17 +97,14 @@ class Theory:
 
         return parse_expression(text, self)
 
-    def density(self, expr) -> "Density":
+    def functional(self, expr) -> "LocalFunctional":
         if isinstance(expr, str):
             expr = self.parse(expr)
-        return Density(self, expr)
-
-    def functional(self, expr) -> "LocalFunctional":
-        return LocalFunctional(self.density(expr))
+        return LocalFunctional(self, expr)
 
 
-class Density:
-    """An expression regarded as the integrand of a local functional."""
+class LocalFunctional:
+    """A density modulo total divergences; equality is integration by parts."""
 
     __slots__ = ("theory", "expr")
 
@@ -118,36 +113,6 @@ class Density:
             raise GeneratorMismatchError("density expression uses a different generator set")
         self.theory = theory
         self.expr = expr
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Density)
-            and self.theory == other.theory
-            and self.expr == other.expr
-        )
-
-    def __hash__(self):
-        return hash(self.expr)
-
-    def __repr__(self):
-        return f"<Density {self.expr!r}>"
-
-
-class LocalFunctional:
-    """A density modulo total divergences; equality is integration by parts."""
-
-    __slots__ = ("density",)
-
-    def __init__(self, density: Density):
-        self.density = density
-
-    @property
-    def theory(self) -> Theory:
-        return self.density.theory
-
-    @property
-    def expr(self) -> Expression:
-        return self.density.expr
 
     def __eq__(self, other):
         if not isinstance(other, LocalFunctional):
@@ -492,7 +457,7 @@ def integrate_on_box_expression(
     functional, section: Section, box: Mapping[str, tuple]
 ) -> Expression:
     """Exact value of a functional on a section, symbolic in the parameters."""
-    expr = functional.expr if isinstance(functional, (LocalFunctional, Density)) else functional
+    expr = functional.expr if isinstance(functional, LocalFunctional) else functional
     _check_evaluable(expr)
     return integrate_box_polynomial(evaluate_density(expr, section), box)
 

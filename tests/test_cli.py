@@ -65,6 +65,26 @@ def test_noether_identity_maxwell():
     assert "noether identity: yes" in text
 
 
+def test_noether_is_judged_off_shell():
+    # EL(A[0]) lies in the EL ideal, so only the off-shell verdict says anything
+    code, text = run("noether", str(MODELS / "maxwell.jv"), "--op", "EL(A[0])")
+    assert code == 1
+    assert text.startswith("noether identity: no\n")
+    code, _ = run("noether", str(MODELS / "maxwell.jv"), "--op", "EL(A[0])", "--max-order", "2")
+    assert code == 2
+
+
+_EL_OUTSIDE = "EL(...) is allowed only in gauge operators"
+
+
+def test_el_outside_gauge_operators_is_a_parse_error(tmp_path):
+    path = tmp_path / "el.jv"
+    path.write_text("vars t\nfield u\nlagrangian EL(u)\n")
+    assert run("el", str(path)) == (2, f"parse error: 3:12: {_EL_OUTSIDE}\n")
+    code, text = run("divergence", str(MODELS / "free.jv"), "--expr", "EL(u)")
+    assert (code, text) == (2, f"parse error: 1:1: {_EL_OUTSIDE}\n")
+
+
 _LINEAR = "gauge operator terms must be linear in EL(...)"
 _ONE_EL = "gauge operator terms must contain one EL(...) factor"
 _RANGE = "component 5 of 'A' outside 1..3"
@@ -212,6 +232,19 @@ def test_only_decimal_digits_are_numbers(tmp_path):
     # ARABIC-INDIC DIGIT TWO is a decimal digit
     path.write_text("vars t\nfield u\nlagrangian u^\u0662\n", encoding="utf-8")
     assert run("el", str(path)) == (0, "EL[u] = 2 * u\n")
+
+
+@pytest.mark.parametrize(
+    "lagrangian, text",
+    [
+        ("u * \\\n   d(u;t) * q", "parse error: 4:13: undeclared identifier 'q'\n"),
+        ("u * \\\n   d(u;t)^2 \\\n + w", "parse error: 5:4: undeclared identifier 'w'\n"),
+    ],
+)
+def test_error_positions_on_continued_lines(tmp_path, lagrangian, text):
+    path = tmp_path / "continued.jv"
+    path.write_text(f"vars t\nfield u\nlagrangian {lagrangian}\n")
+    assert run("el", str(path)) == (2, text)
 
 
 def test_usage_error_exit_code():

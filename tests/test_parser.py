@@ -352,7 +352,7 @@ def test_def_instances_match_the_inlined_model():
         for bv in (with_def, inlined)
     ]
     assert tables[0] == tables[1]
-    assert with_def.master_action.density.expr == inlined.master_action.density.expr
+    assert with_def.master_action.expr == inlined.master_action.expr
     # the gauge coefficient -(E[1,1] + E[1,2]) has no metric factors
     with_metric = parse_expression(_inlined(1, 1) + " + " + _inlined(1, 2), with_def.base)
     assert tables[0][(1,)][("A", (1, 0))][(1, 0)] != -with_metric
@@ -378,3 +378,15 @@ def test_operator_products_and_sums_expand_by_leibniz(free):
     assert parse_operator("(EL(u) - EL(u))*EL(u) + 0*u + EL(u)", free) == {
         ("u", ()): {(0,): sig.one()}
     }
+
+
+def test_el_in_a_def_follows_where_the_def_is_expanded():
+    # a gauge line expands its defs in operator mode; any other line does not
+    maxwell = builtin("maxwell", dim=2).source
+    inline = "gauge C: -d(EL(A[nu]); nu)\n"
+    via_def = maxwell.replace(inline, "def G[nu] = EL(A[nu])\ngauge C: -d(G[nu]; nu)\n")
+    assert via_def != maxwell
+    ops = [parse_model(text).gauge[0].operators[()].coefficients for text in (maxwell, via_def)]
+    assert ops[0] == ops[1]
+    with pytest.raises(ParseError, match="^3:9: EL\\(...\\) is allowed only in gauge operators$"):
+        parse_model("vars t\nfield u\ndef F = EL(u)\nlagrangian F*u\n")

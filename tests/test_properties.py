@@ -1,8 +1,9 @@
 """Property tests of the kernel's canonical order, sum accumulator, atom
 invariant, substitution and powers, of the evolutionary derivation behind
 prolongations, d_KT and X_F, of the memoized derivative sweep behind the
-Euler operator, of the printer/parser round trip, and of gauge operators read
-back from their printed form."""
+Euler operator, of the antibracket and the divergence verdict against their
+direct formulas, of the printer/parser round trip, and of gauge operators
+read back from their printed form."""
 
 import functools
 import operator
@@ -14,7 +15,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from jetvar import jetcalc  # noqa: E402
-from jetvar.bv import antifield_grading, antifield_name  # noqa: E402
+from jetvar.bv import (  # noqa: E402
+    BVExtension,
+    antibracket_density,
+    antifield_grading,
+    antifield_name,
+)
 from jetvar.core import (  # noqa: E402
     ANTIFIELD,
     FIELD,
@@ -28,6 +34,7 @@ from jetvar.core import (  # noqa: E402
     Grading,
     Monomial,
     Signature,
+    homogeneous_components,
     invert_monomial,
     partial_derivative,
     substitute,
@@ -35,7 +42,7 @@ from jetvar.core import (  # noqa: E402
 from jetvar.errors import GeneratorMismatchError, GradingViolationError  # noqa: E402
 from jetvar.parser import parse_expression, parse_operator  # noqa: E402
 from jetvar.printer import format_expression  # noqa: E402
-from jetvar.theory import Theory, on_shell_reduce  # noqa: E402
+from jetvar.theory import LocalFunctional, Theory, on_shell_reduce  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -309,6 +316,98 @@ def test_euler_operator_kills_total_derivatives(n, data):
     for side in ("left", "right"):
         assert not any(jetcalc._memo(divergence, jetcalc._euler, side).values())
     assert jetcalc.is_total_divergence(divergence)
+
+
+def _full_bv(n: int) -> BVExtension:
+    """``_signature(n)`` with an antifield for every field and ghost: odd for
+    u and v, even for psi and c."""
+    base = _signature(n)
+    stars = [
+        Generator(antifield_name(g.name), ANTIFIELD, g.index_ranges,
+                  antifield_grading(g.grading, g.role))
+        for g in base.generators
+        if g.role in (FIELD, GHOST)
+    ]
+    sig = Signature(list(base.generators) + stars, base.metric)
+    theory = Theory(sig, sig.zero())
+    return BVExtension(theory, theory, (), LocalFunctional(theory, sig.zero()))
+
+
+FULL_BVS = {n: _full_bv(n) for n in (1, 2)}
+
+
+def _pair_formula(bv: BVExtension, f: Expression, g: Expression) -> Expression:
+    """The antibracket as the two-term sum over generator pairs, computed
+    directly from the four variational derivatives."""
+    vd = jetcalc.variational_derivative
+    parts = []
+    for (name, comp), (star, _) in bv.pairs():
+        rf_phi = vd(f, name, comp, side="right")
+        lg_star = vd(g, star, comp, side="left")
+        if rf_phi and lg_star:
+            parts.append(rf_phi * lg_star)
+        rf_star = vd(f, star, comp, side="right")
+        lg_phi = vd(g, name, comp, side="left")
+        if rf_star and lg_phi:
+            parts.append(-(rf_star * lg_phi))
+    return Expression.sum(f.sig, parts)
+
+
+def _divergence_by_target(e: Expression) -> bool:
+    """The divergence verdict, one variational derivative per target in turn."""
+    sig = e.sig
+    for gid, comp in sorted({(a.gen, a.comp) for a in e.jet_atoms()}):
+        name = sig.generators[gid].name
+        if not jetcalc.variational_derivative(e, name, comp).is_zero():
+            return False
+    return True
+
+
+@st.composite
+def homogeneous(draw, sig, max_terms=2):
+    """One graded-homogeneous part of a drawn expression (zero if it has none)."""
+    parts = homogeneous_components(draw(expressions(sig, max_terms=max_terms)))
+    if not parts:
+        return sig.zero()
+    return parts[draw(st.sampled_from(sorted(parts)))]
+
+
+@st.composite
+def bracket_operands(draw, bv):
+    """Homogeneous F and G, one a multiple of a field or ghost component and
+    the other of its antifield, so that the bracket is rarely zero; each
+    carries one more jet factor, of either parity."""
+    sig = bv.signature
+    jet = [gen.name for _, gen in sig.jet_generators()]
+    ends = list(draw(st.sampled_from(bv.pairs())))
+    if draw(st.booleans()):
+        ends.reverse()
+    return [
+        sig.from_atom(sig.atom(name, comp))
+        * sig.from_atom(draw(atoms(sig, jet)))
+        * (draw(homogeneous(sig)) or sig.one())
+        for name, comp in ends
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_antibracket_equals_the_pair_formula(n, data):
+    bv = FULL_BVS[n]
+    f, g = data.draw(bracket_operands(bv))
+    assert antibracket_density(bv, f, g) == _pair_formula(bv, f, g)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_divergence_verdict_equals_the_per_target_loop(n, data):
+    sig = FULL_BVS[n].signature
+    e = jetcalc.total_derivative(data.draw(expressions(sig)), data.draw(st.integers(0, n - 1)))
+    e = e + data.draw(expressions(sig, max_terms=1))
+    # a fresh copy, so the reference does not read the memo filled above
+    assert jetcalc.is_total_divergence(e) == _divergence_by_target(Expression(sig, e.terms))
 
 
 EVEN_NAMES = ("t", "x", "y", "m", "u", "v")

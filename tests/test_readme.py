@@ -1,6 +1,8 @@
 """The README's command-line examples, run and compared with their printed
-output, and its model-file and library examples, run and checked."""
+output, its model-file and library examples, run and checked, and its
+command-line section, checked against the CLI's flags."""
 
+import argparse
 import io
 import pathlib
 import re
@@ -10,15 +12,18 @@ import pytest
 
 from jetvar import check_master_equation, parse_model
 from jetvar.bv import BVExtension
-from jetvar.cli import cli_dispatch
+from jetvar.cli import _build_parser, cli_dispatch
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _readme():
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
 def _blocks(tag):
     """The bodies of the README's fenced blocks tagged ``tag`` ('' for untagged)."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, flags=re.M | re.S)
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", _readme(), flags=re.M | re.S)
     return [body for kind, body in blocks if kind == tag]
 
 
@@ -65,3 +70,23 @@ def test_readme_library_example():
     namespace = {}
     exec(code, namespace)
     assert namespace["report"].holds
+
+
+def _cli_flags():
+    """Every ``--flag`` of every subcommand, argparse's own ``--help`` aside."""
+    flags = set()
+    for action in _build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                for option in sub._actions:
+                    if not isinstance(option, argparse._HelpAction):
+                        flags.update(s for s in option.option_strings if s.startswith("--"))
+    return flags
+
+
+def test_readme_command_line_names_exactly_the_cli_flags():
+    section = _readme().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    flags = _cli_flags()
+    assert named - flags == set(), "README names flags the CLI does not have"
+    assert flags - named == set(), "CLI flags the README does not name"

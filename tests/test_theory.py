@@ -21,6 +21,7 @@ from jetvar.errors import (
 from jetvar.models import builtin
 from jetvar.theory import (
     EvolutionaryVF,
+    LocalFunctional,
     NoetherOperator,
     Section,
     Theory,
@@ -304,6 +305,12 @@ class TestLocalFunctional:
         theory = Theory(mech_sig, mech_sig.zero())
         assert theory.functional(u * utt) == theory.functional(-(ut * ut))
         assert not (theory.functional(ut * ut) == theory.functional(ut * ut * 2))
+
+    def test_density_from_another_signature_rejected(self, mech, plane_sig):
+        with pytest.raises(GeneratorMismatchError):
+            LocalFunctional(mech, plane_sig.coord("u"))
+        with pytest.raises(GeneratorMismatchError):
+            mech.functional(plane_sig.coord("u"))
 
     def test_evaluate_density_uses_exact_jets(self, mech):
         sig = mech.signature
