@@ -19,7 +19,7 @@ local functionals; that is also where the master equation is tested.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .core import (
     ANTIFIELD,
@@ -128,15 +128,16 @@ def antifield_component(e: Expression, level: int) -> Expression:
 
 def extend_to_bv(
     theory: Theory,
-    gauge: Sequence[Tuple[Generator, Union[NoetherOperator, Dict[tuple, NoetherOperator]]]] = (),
+    gauge: Sequence[Tuple[Generator, Dict[tuple, NoetherOperator]]] = (),
 ) -> BVExtension:
     """Adjoin ghosts and antifields and emit the minimal master-action proposal.
 
-    Each gauge entry pairs a ghost generator with the Noether operator (or a
-    mapping of ghost component to operator) whose identity it resolves; the
-    identities are verified exactly, off shell.  The proposal couples every
-    field antifield to the gauge characteristic obtained from the operator's
-    adjoint; higher ghost terms are the caller's to add via ``with_master``.
+    Each gauge entry pairs a ghost generator with a mapping from each ghost
+    component (``()`` for a ghost without components) to the Noether operator
+    whose identity it resolves; the identities are verified exactly, off
+    shell.  The proposal couples every field antifield to the gauge
+    characteristic obtained from the operator's adjoint; higher ghost terms
+    are the caller's to add via ``with_master``.
     """
     sig = theory.signature
     pairs: List[GaugePair] = []
@@ -147,12 +148,6 @@ def extend_to_bv(
         if ghost_spec.name in names:
             raise DuplicateGhostNameError(f"generator name {ghost_spec.name!r} already in use")
         names.add(ghost_spec.name)
-        if isinstance(ops, NoetherOperator):
-            if ghost_spec.index_ranges:
-                raise UnknownGeneratorError(
-                    f"ghost {ghost_spec.name!r} has components; give one operator per component"
-                )
-            ops = {(): ops}
         table = {}
         for comp in ghost_spec.components():
             op = ops.get(tuple(comp))

@@ -20,7 +20,7 @@ from .bv import (
     extend_to_bv,
     koszul_tate_apply,
 )
-from .errors import DomainError, JetvarError, ParseError
+from .errors import DomainError, ParseError
 from .parser import parse_assignments, parse_expression, parse_model, parse_operator
 from .printer import format_expression
 from .theory import (
@@ -313,9 +313,6 @@ def cli_dispatch(argv, out=None) -> int:
         out.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except DomainError as exc:
-        out.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
-    except JetvarError as exc:  # pragma: no cover - safety net
         out.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except Exception as exc:

@@ -7,6 +7,12 @@ independent variables, and parameters.  Expressions are kept in a unique
 canonical normal form, so equality and zero-recognition are exact, and every
 Koszul sign is produced by one mechanism: counting odd transpositions while
 sorting odd factors into the canonical atom order.
+
+``Expression.from_terms`` is the one accumulator: sums, products and
+substitutions all hand it their terms to add up and sort.  Graded partial
+derivatives come from one sweep per expression and side that gives the
+derivative by every atom at once; it is memoized on the expression, and
+``partial_derivative`` is a view of it.
 """
 
 from __future__ import annotations
@@ -328,10 +334,11 @@ def _mul_monomials(m1: Monomial, m2: Monomial):
 class Expression:
     """A normal-form sum of monomials over a fixed signature.
 
-    Instances are immutable; all arithmetic returns new normalized values.
-    Two expressions are equal iff their signatures and term lists coincide.
-    ``jetcalc`` fills ``_sweeps`` (left unset here) with its derivative sweeps
-    on first use, the way ``Theory`` fills ``_el``.
+    Instances are immutable; all arithmetic returns new normalized values,
+    and ``from_terms`` is the one place that sums and sorts terms.  Two
+    expressions are equal iff their signatures and term lists coincide.
+    ``_memo`` fills ``_sweeps`` (left unset here) with derivative sweeps on
+    first use, the way ``Theory`` fills ``_el``.
     """
 
     __slots__ = ("sig", "terms", "_sweeps")
@@ -347,14 +354,17 @@ class Expression:
 
     @staticmethod
     def from_terms(sig: Signature, monomials: Iterable[Monomial]) -> "Expression":
+        """The normal form of a sum of monomials: equal keys add up, zero sums
+        drop out, keys sort.  ``None`` (a vanished odd square) is skipped."""
         acc = {}
         for m in monomials:
-            if m is None or m.coeff == 0:
-                continue
-            key = (m.even, m.odd)
-            c = acc.get(key)
-            acc[key] = m.coeff if c is None else c + m.coeff
-        return Expression._from_map(sig, acc)
+            if m is not None:
+                key = (m.even, m.odd)
+                c = acc.get(key)
+                acc[key] = m.coeff if c is None else c + m.coeff
+        # keys (even, odd) are unique, so the sort never reaches a coefficient
+        live = sorted(item for item in acc.items() if item[1] != 0)
+        return Expression(sig, tuple(Monomial(c, even, odd) for (even, odd), c in live))
 
     @staticmethod
     def sum(sig: Signature, parts: Iterable["Expression"]) -> "Expression":
@@ -367,13 +377,6 @@ class Expression:
                 yield from p.terms
 
         return Expression.from_terms(sig, terms())
-
-    @staticmethod
-    def _from_map(sig: Signature, acc: dict) -> "Expression":
-        live = [item for item in acc.items() if item[1] != 0]
-        # keys (even, odd) are unique, so the sort never reaches a coefficient
-        live.sort()
-        return Expression(sig, tuple(Monomial(c, even, odd) for (even, odd), c in live))
 
     # -- basic predicates ------------------------------------------------------
 
@@ -405,15 +408,7 @@ class Expression:
         return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        acc = {}
-        for m in self.terms:
-            acc[(m.even, m.odd)] = m.coeff
-        for m in other.terms:
-            key = (m.even, m.odd)
-            c = acc.get(key)
-            acc[key] = m.coeff if c is None else c + m.coeff
-        return Expression._from_map(self.sig, acc)
+        return Expression.from_terms(self.sig, self.terms + self._coerce(other).terms)
 
     __radd__ = __add__
 
@@ -436,17 +431,10 @@ class Expression:
             return Expression(
                 self.sig, tuple(Monomial(m.coeff * c, m.even, m.odd) for m in self.terms)
             )
-        other = self._coerce(other)
-        acc = {}
-        for m1 in self.terms:
-            for m2 in other.terms:
-                m = _mul_monomials(m1, m2)
-                if m is None:
-                    continue
-                key = (m.even, m.odd)
-                c = acc.get(key)
-                acc[key] = m.coeff if c is None else c + m.coeff
-        return Expression._from_map(self.sig, acc)
+        right = self._coerce(other).terms
+        return Expression.from_terms(
+            self.sig, [_mul_monomials(m1, m2) for m1 in self.terms for m2 in right]
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -524,44 +512,45 @@ class Expression:
 # public operations
 
 
-def add(a: Expression, b: Expression) -> Expression:
-    """Normalized sum of two expressions over the same theory."""
-    return a + b
+def _memo(e: Expression, compute, side: str) -> dict:
+    """``compute(e, side)``, stored on ``e`` for as long as ``e`` lives."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    memo = getattr(e, "_sweeps", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(e, "_sweeps", memo)
+    value = memo.get((compute, side))
+    if value is None:
+        value = memo[compute, side] = compute(e, side)
+    return value
 
 
-def mul(a: Expression, b: Expression) -> Expression:
-    """Graded-commutative product; Koszul signs from canonical odd sorting."""
-    return a * b
+def _sweep(e: Expression, side: str) -> dict:
+    """One pass over the terms: the graded partial derivative by every atom.
+
+    For an odd atom, side="left" picks up one sign per odd factor standing to
+    its left; side="right" counts odd factors to its right instead.
+    """
+    right = side == "right"
+    buckets = {}
+    for m in e.terms:
+        even, odd, c = m.even, m.odd, m.coeff
+        for idx, (a, x) in enumerate(even):
+            rest = even[:idx] + ((a, x - 1),) if x != 1 else even[:idx]
+            buckets.setdefault(a, []).append(Monomial(c * x, rest + even[idx + 1:], odd))
+        last = len(odd) - 1
+        for j, a in enumerate(odd):
+            exposed = last - j if right else j
+            rest = odd[:j] + odd[j + 1:]
+            buckets.setdefault(a, []).append(Monomial(-c if exposed % 2 else c, even, rest))
+    return {a: Expression.from_terms(e.sig, monos) for a, monos in buckets.items()}
 
 
 def partial_derivative(e: Expression, c: Atom, side: str = "left") -> Expression:
-    """Graded partial derivative of ``e`` with respect to the atom ``c``.
-
-    For an odd ``c``, side="left" picks up one sign per odd factor standing to
-    the left of ``c``; side="right" counts odd factors to the right instead.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    sig = e.sig
-    parity = sig.atom_grading(c).parity
-    out = []
-    if parity == EVEN:
-        for m in e.terms:
-            for idx, (a, x) in enumerate(m.even):
-                if a == c:
-                    rest = m.even[:idx] + ((a, x - 1),) if x != 1 else m.even[:idx]
-                    rest += m.even[idx + 1:]
-                    out.append(Monomial(m.coeff * x, rest, m.odd))
-                    break
-    else:
-        for m in e.terms:
-            for j, a in enumerate(m.odd):
-                if a == c:
-                    exposed = j if side == "left" else len(m.odd) - 1 - j
-                    sign = -1 if exposed % 2 else 1
-                    out.append(Monomial(m.coeff * sign, m.even, m.odd[:j] + m.odd[j + 1:]))
-                    break
-    return Expression.from_terms(sig, out)
+    """Graded partial derivative of ``e`` with respect to the atom ``c``: a
+    view of the memoized sweep of ``e`` (see ``_sweep`` for the signs)."""
+    return _memo(e, _sweep, side).get(c) or e.sig.zero()
 
 
 def grading_of(e: Expression) -> Grading:
@@ -646,7 +635,7 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
     # trie of leading factors: factor -> (product of the prefix, child trie)
     root = {}
     one = sig.one()
-    acc = {}
+    scaled = []
     for m in e.terms:
         node, product = root, one
         for factor in m.even + tuple((a, 1) for a in m.odd):
@@ -658,11 +647,8 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
             if not product:
                 break
         c = m.coeff
-        for t in product.terms:
-            key = (t.even, t.odd)
-            prev = acc.get(key)
-            acc[key] = c * t.coeff if prev is None else prev + c * t.coeff
-    return Expression._from_map(sig, acc)
+        scaled.extend(Monomial(c * t.coeff, t.even, t.odd) for t in product.terms)
+    return Expression.from_terms(sig, scaled)
 
 
 def _param_power(sig: Signature, atom: Atom, exponent: int) -> Expression:

@@ -3,12 +3,13 @@
 All functions act on normal-form expressions; the theory-level wrappers in
 ``jetvar.theory`` add the bookkeeping around densities and functionals.
 
-The Euler operator rests on one sweep per expression and side: a single pass
-over the terms gives every graded partial derivative, keyed by jet atom, and
-from those come all variational derivatives at once.  The variational
+The Euler operator rests on the kernel's sweep (``core._sweep``): a single
+pass over the terms gives every graded partial derivative, and from those of
+the jet atoms come all variational derivatives at once.  The variational
 derivatives are memoized on the expression for as long as it lives, and so
 are the partials of a side that something reads directly (``prolong_apply``
-reads the left ones); ``variational_derivative`` is a view of one component.
+and ``partial_derivative`` read them); ``variational_derivative`` is a view
+of one component.
 
 The divergence test uses the kernel criterion: over a free (graded) jet
 algebra with polynomial base coefficients the variational complex is exact,
@@ -31,6 +32,8 @@ from .core import (
     ODD,
     PARAM,
     VAR,
+    _memo,
+    _sweep,
     partial_derivative,
 )
 from .errors import (
@@ -118,48 +121,16 @@ def apply_multi_derivative(e: Expression, mindex: Sequence[int]) -> Expression:
     return e
 
 
-def _memo(e: Expression, compute, side: str) -> dict:
-    """``compute(e, side)``, stored on ``e`` for as long as ``e`` lives."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    memo = getattr(e, "_sweeps", None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(e, "_sweeps", memo)
-    value = memo.get((compute, side))
-    if value is None:
-        value = memo[compute, side] = compute(e, side)
-    return value
-
-
-def _sweep(e: Expression, side: str) -> dict:
-    """One pass over the terms: every graded partial derivative, keyed by jet atom."""
-    jet = [g.role in JET_ROLES for g in e.sig.generators]
-    right = side == "right"
-    buckets = {}
-    for m in e.terms:
-        even, odd, c = m.even, m.odd, m.coeff
-        for idx, (a, x) in enumerate(even):
-            if jet[a.gen]:
-                rest = even[:idx] + ((a, x - 1),) if x != 1 else even[:idx]
-                buckets.setdefault(a, []).append(Monomial(c * x, rest + even[idx + 1:], odd))
-        last = len(odd) - 1
-        for j, a in enumerate(odd):
-            # odd generators are jet generators; the sign counts the odd factors passed
-            exposed = last - j if right else j
-            rest = odd[:j] + odd[j + 1:]
-            buckets.setdefault(a, []).append(Monomial(-c if exposed % 2 else c, even, rest))
-    return {a: Expression.from_terms(e.sig, monos) for a, monos in buckets.items()}
-
-
 def _euler(e: Expression, side: str) -> dict:
     """Every variational derivative, keyed by (generator id, component); the
     partials are kept only if something read them, so others are freed here."""
+    jet = [g.role in JET_ROLES for g in e.sig.generators]
     parts = {}
     partials = e._sweeps.get((_sweep, side)) or _sweep(e, side)
     for atom, partial in partials.items():
-        term = apply_multi_derivative(partial, atom.mindex)
-        parts.setdefault((atom.gen, atom.comp), []).append(-term if atom.order % 2 else term)
+        if jet[atom.gen]:
+            term = apply_multi_derivative(partial, atom.mindex)
+            parts.setdefault((atom.gen, atom.comp), []).append(-term if atom.order % 2 else term)
     return {key: Expression.sum(e.sig, terms) for key, terms in parts.items()}
 
 
@@ -190,7 +161,8 @@ def prolong_apply(
     commutes with every D_i (a symmetry's prolongation, d_KT and X_F alike).
     """
     sig = e.sig
-    by_id = {(sig.generator_id(n), tuple(c)): q for (n, c), q in characteristics.items()}
+    by_id = {(sig.generator_id(n), tuple(c)): q for (n, c), q in characteristics.items()
+             if sig.generator(n).role in JET_ROLES}
     parts = []
     for atom, partial in _memo(e, _sweep, "left").items():
         q = by_id.get((atom.gen, atom.comp))

@@ -770,6 +770,8 @@ class Expander:
             for (field, mindex), monomials in parts.items():
                 entry = table.setdefault(field, {})
                 coeff = Expression.from_terms(base, monomials)
+                # '+' rather than one Expression.sum: bench/test_bench.py requires
+                # gauge_cli to reach Expression.__add__ (core.add), and this is where
                 entry[mindex] = entry.get(mindex, base.zero()) + coeff
         return table
 
@@ -879,10 +881,11 @@ _RANGE_DIM = object()
 _RESERVED = frozenset({"d", "eps", "EL", "dim", "diag"})
 
 
-def _check_name(tok: Token):
-    if tok.text in _RESERVED:
-        raise ParseError(f"{tok.text!r} is reserved", tok.line, tok.col)
-    return tok
+# statements that declare the signature, so they precede the lagrangian
+_DECLARATIONS = ("vars", "metric", "params", "field", "ghost")
+
+# statements given at most once
+_ONCE = ("metric", "lagrangian", "master")
 
 
 def _parse_range(parser: _Parser):
@@ -911,8 +914,7 @@ def _metric_entry(parser: _Parser) -> Fraction:
     return Fraction(num, int(den.text))
 
 
-def _parse_generator_line(parser: _Parser, role: str, nvars: int):
-    name_tok = _check_name(parser.expect("name"))
+def _parse_generator_line(parser: _Parser, name: str, role: str, nvars: int):
     ranges = []
     if parser.peek().kind == "[":
         parser.next()
@@ -936,7 +938,7 @@ def _parse_generator_line(parser: _Parser, role: str, nvars: int):
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
     return Generator(
-        name_tok.text,
+        name,
         role,
         tuple((0, nvars - 1) if r is _RANGE_DIM else r for r in ranges),
         Grading(parity, ghost_number),
@@ -978,15 +980,27 @@ class _ModelBuilder:
         self.fields: List[Generator] = []
         self.ghost_specs: List[Generator] = []
         self.defs: Dict[str, DefEntry] = {}
+        self.def_uses: Dict[str, Node] = {}  # def -> a use of it, at its name
+        self.names = set()  # every declared variable, parameter, field, ghost and def
         self.lagrangian_ast: Optional[Node] = None
         self.gauge_lines: List[tuple] = []
         self.master_ast: Optional[Node] = None
         self.signature: Optional[Signature] = None
-        self.theory: Optional[Theory] = None
+
+    def declare(self, tok: Token) -> str:
+        """Claim a new name; every error is reported at its token."""
+        name = tok.text
+        if name in _RESERVED:
+            raise ParseError(f"{name!r} is reserved", tok.line, tok.col)
+        if name.endswith("*"):
+            raise ParseError(f"{name!r}: a trailing '*' is reserved for antifields",
+                             tok.line, tok.col)
+        if name in self.names:
+            raise ParseError(f"duplicate declaration of {name!r}", tok.line, tok.col)
+        self.names.add(name)
+        return name
 
     def build_signature(self, line):
-        if self.signature is not None:
-            return
         if not self.variables:
             raise ParseError("no independent variables declared", line, 1)
         metric = self.metric if self.metric is not None else [Fraction(1)] * len(self.variables)
@@ -1006,10 +1020,8 @@ class _ModelBuilder:
 def parse_model(text: str):
     """Parse a model file; returns a Theory, or a BVExtension when gauge or
     master sections are present."""
-    from .bv import BVExtension, extend_to_bv
-
     builder = _ModelBuilder()
-    seen = set()
+    given = set()
 
     for line_no, content in _logical_lines(text):
         tokens = tokenize(content, line=line_no)
@@ -1018,11 +1030,15 @@ def parse_model(text: str):
             raise ParseError(f"expected a statement, got {head.text!r}", head.line, head.col)
         rest = _Parser(tokens[1:])
         keyword = head.text
+        if keyword in _DECLARATIONS and builder.signature is not None:
+            raise ParseError("declarations must precede the lagrangian", head.line, head.col)
+        if keyword in _ONCE:
+            if keyword in given:
+                raise ParseError(f"second {keyword!r} statement", head.line, head.col)
+            given.add(keyword)
 
         if keyword == "vars":
-            if builder.signature is not None:
-                raise ParseError("declarations must precede the lagrangian", head.line, head.col)
-            builder.variables += [_check_name(tok).text for tok in rest.names()]
+            builder.variables += [builder.declare(tok) for tok in rest.names()]
             rest.expect("end")
         elif keyword == "metric":
             tag = rest.expect("name")
@@ -1033,31 +1049,24 @@ def parse_model(text: str):
             rest.expect(")")
             rest.expect("end")
         elif keyword == "params":
-            builder.parameters += [_check_name(tok).text for tok in rest.names()]
+            builder.parameters += [builder.declare(tok) for tok in rest.names()]
             rest.expect("end")
         elif keyword in ("field", "ghost"):
-            if builder.signature is not None:
-                raise ParseError("declarations must precede the lagrangian", head.line, head.col)
             role = FIELD if keyword == "field" else GHOST
-            gen = _parse_generator_line(rest, role, len(builder.variables))
-            if gen.name in seen:
-                raise ParseError(f"duplicate declaration of {gen.name!r}", head.line, head.col)
-            seen.add(gen.name)
-            if role == FIELD:
-                builder.fields.append(gen)
-            else:
-                builder.ghost_specs.append(gen)
+            name = builder.declare(rest.expect("name"))
+            gen = _parse_generator_line(rest, name, role, len(builder.variables))
+            (builder.fields if role == FIELD else builder.ghost_specs).append(gen)
         elif keyword == "def":
-            name_tok = _check_name(rest.expect("name"))
+            name_tok = rest.expect("name")
+            name = builder.declare(name_tok)
             params = rest.letter_header()
             rest.expect("=")
             body = rest.parse_expr()
             rest.expect("end")
-            if name_tok.text in builder.defs or name_tok.text in seen:
-                raise ParseError(
-                    f"duplicate declaration of {name_tok.text!r}", name_tok.line, name_tok.col
-                )
-            builder.defs[name_tok.text] = DefEntry(params, body)
+            builder.defs[name] = DefEntry(params, body)
+            at = (name_tok.line, name_tok.col)
+            use = [Index("letter", p, *at) for p in params]
+            builder.def_uses[name] = Node("ref", (name, use), *at)
         elif keyword == "lagrangian":
             builder.build_signature(head.line)
             builder.lagrangian_ast = rest.parse_expr()
@@ -1076,18 +1085,30 @@ def parse_model(text: str):
 
     if builder.lagrangian_ast is None:
         raise ParseError("model file has no lagrangian", 1, 1)
-    builder.build_signature(1)
     sig = builder.signature
-    expander = Expander(sig, builder.defs)
-    lagrangian = expander.expression(builder.lagrangian_ast)
-    theory = Theory(sig, lagrangian)
-    if not builder.gauge_lines and builder.master_ast is None and not builder.ghost_specs:
-        return theory
+    expanders = [Expander(sig, builder.defs)]
+    model = Theory(sig, expanders[0].expression(builder.lagrangian_ast))
+    if builder.gauge_lines or builder.master_ast is not None or builder.ghost_specs:
+        model = _bv_model(builder, model, expanders)
+    # a def that no line expanded is analysed as a use of it in the lagrangian
+    used = set().union(*(x._bodies for x in expanders))
+    for name, use in builder.def_uses.items():
+        if name not in used:
+            expanders[0]._prepare(use, builder.defs[name].params)
+    return model
 
+
+def _bv_model(builder: _ModelBuilder, theory: Theory, expanders: List[Expander]):
+    """The BV extension of a parsed model; appends the expanders it uses to
+    ``expanders``, whose first one is the lagrangian's."""
+    from .bv import extend_to_bv
+
+    sig = theory.signature
     # assemble the BV extension: gauge lines attach operators to ghost components
     ghosts = {g.name: g for g in builder.ghost_specs}
     tables: Dict[str, Dict[tuple, Dict]] = {}
     op_expander = Expander(sig, builder.defs, operator_mode=True)
+    expanders.append(op_expander)
     for name_tok, letters, body in builder.gauge_lines:
         ghost = ghosts.get(name_tok.text)
         if ghost is None:
@@ -1122,6 +1143,6 @@ def parse_model(text: str):
         gauge.append((ghost, ops))
     bv = extend_to_bv(theory, gauge)
     if builder.master_ast is not None:
-        master = expander.extended(bv.signature).expression(builder.master_ast)
-        bv = bv.with_master(master)
+        expanders.append(expanders[0].extended(bv.signature))
+        bv = bv.with_master(expanders[-1].expression(builder.master_ast))
     return bv

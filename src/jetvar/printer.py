@@ -30,22 +30,6 @@ def _plain_coeff(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _plain_monomial(sig, m: Monomial) -> str:
-    factors = []
-    for atom, exp in m.even:
-        base = _plain_atom(sig, atom)
-        factors.append(base if exp == 1 else f"{base}^{exp}")
-    for atom in m.odd:
-        factors.append(_plain_atom(sig, atom))
-    coeff = abs(m.coeff)
-    if not factors:
-        return _plain_coeff(coeff)
-    body = " * ".join(factors)
-    if coeff == 1:
-        return body
-    return f"{_plain_coeff(coeff)} * {body}"
-
-
 def _latex_atom(sig, atom: Atom) -> str:
     gen = sig.generators[atom.gen]
     name = gen.name
@@ -71,36 +55,37 @@ def _latex_atom(sig, atom: Atom) -> str:
 def _latex_coeff(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
-    sign = "-" if c < 0 else ""
-    return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+    return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
 
 
-def _latex_monomial(sig, m: Monomial) -> str:
-    factors = []
-    for atom, exp in m.even:
-        base = _latex_atom(sig, atom)
-        factors.append(base if exp == 1 else f"{base}^{{{exp}}}")
-    for atom in m.odd:
-        factors.append(_latex_atom(sig, atom))
+# per style: atom and coefficient renderers, power format, product separator
+_STYLES = {
+    "plain": (_plain_atom, _plain_coeff, "{}^{}", " * "),
+    "latex": (_latex_atom, _latex_coeff, "{}^{{{}}}", "\\,"),
+}
+
+
+def _monomial(sig, m: Monomial, style) -> str:
+    """A monomial without its sign, in one style."""
+    atom, coeff_text, power, times = style
+    factors = [atom(sig, a) if x == 1 else power.format(atom(sig, a), x) for a, x in m.even]
+    factors += [atom(sig, a) for a in m.odd]
     coeff = abs(m.coeff)
     if not factors:
-        return _latex_coeff(coeff)
-    body = "\\,".join(factors)
-    if coeff == 1:
-        return body
-    return f"{_latex_coeff(coeff)}\\,{body}"
+        return coeff_text(coeff)
+    body = times.join(factors)
+    return body if coeff == 1 else coeff_text(coeff) + times + body
 
 
 def format_expression(e: Expression, style: str = "plain") -> str:
     """Render an expression; plain output re-parses to the same normal form."""
-    if style not in ("plain", "latex"):
+    if style not in _STYLES:
         raise ValueError(f"unknown style {style!r}")
     if e.is_zero():
         return "0"
-    render = _plain_monomial if style == "plain" else _latex_monomial
     parts = []
     for i, m in enumerate(e.terms):
-        body = render(e.sig, m)
+        body = _monomial(e.sig, m, _STYLES[style])
         if i == 0:
             parts.append("-" + body if m.coeff < 0 else body)
         else:

@@ -84,14 +84,14 @@ class TestExtension:
     def test_duplicate_ghost_name(self, mech):
         ghost = Generator("u", "ghost", grading=Grading(ODD, 1))
         with pytest.raises((DuplicateGhostNameError, ValueError)):
-            extend_to_bv(mech, [(ghost, NoetherOperator(mech, {}))])
+            extend_to_bv(mech, [(ghost, {(): NoetherOperator(mech, {})})])
 
     def test_not_an_identity_rejected(self, mech):
         sig = mech.signature
         ghost = Generator("C", "ghost", grading=Grading(ODD, 1))
         op = NoetherOperator(mech, {("u", ()): {(1,): sig.one()}})
         with pytest.raises(NotAnIdentityError) as err:
-            extend_to_bv(mech, [(ghost, op)])
+            extend_to_bv(mech, [(ghost, {(): op})])
         assert not err.value.residual.is_zero()
 
     def test_master_must_extend_lagrangian(self):

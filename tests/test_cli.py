@@ -247,6 +247,79 @@ def test_error_positions_on_continued_lines(tmp_path, lagrangian, text):
     assert run("el", str(path)) == (2, text)
 
 
+_STAR = "a trailing '*' is reserved for antifields"
+
+
+@pytest.mark.parametrize(
+    "model, text",
+    [
+        # vars, params, field, ghost and def share one set of names
+        ("vars t\ndef u = t\nfield u\nlagrangian u*u\n", "3:7: duplicate declaration of 'u'"),
+        ("vars t\nparams m\ndef m = 2\nfield u\nlagrangian m*u*u\n",
+         "3:5: duplicate declaration of 'm'"),
+        ("vars t\ndef t = 3\nfield u\nlagrangian u*u\n", "2:5: duplicate declaration of 't'"),
+        ("vars t\nparams m, m\nfield u\nlagrangian u*u\n", "2:11: duplicate declaration of 'm'"),
+        ("vars t, x, t\nfield u\nlagrangian u*u\n", "1:12: duplicate declaration of 't'"),
+        ("vars t\nfield u\nghost u\nlagrangian u*u\n", "3:7: duplicate declaration of 'u'"),
+        ("vars t\nfield u*\nlagrangian 1\n", f"2:7: 'u*': {_STAR}"),
+        ("vars t\nghost C\nfield C*\nlagrangian 1\n", f"3:7: 'C*': {_STAR}"),
+        ("vars t\nparams m*\nfield u\nlagrangian 1\n", f"2:8: 'm*': {_STAR}"),
+    ],
+)
+def test_each_name_is_declared_once(tmp_path, model, text):
+    path = tmp_path / "names.jv"
+    path.write_text(model)
+    assert run("el", str(path)) == (2, f"parse error: {text}\n")
+
+
+_HEAD = "vars t, x\nfield u\nlagrangian 1/2 * d(u;mu)*d(u;mu)\n"
+_LATE = "declarations must precede the lagrangian"
+
+
+@pytest.mark.parametrize(
+    "model, text",
+    [
+        (_HEAD + "metric diag(1, -1)\n", f"4:1: {_LATE}"),
+        (_HEAD + "params m\n", f"4:1: {_LATE}"),
+        (_HEAD + "lagrangian u*u\n", "4:1: second 'lagrangian' statement"),
+        ("vars t, x\nmetric diag(1, -1)\nmetric diag(1, 1)\nfield u\nlagrangian u\n",
+         "3:1: second 'metric' statement"),
+        ("vars t\nfield u\nghost C\ngauge C: 0*EL(u)\nlagrangian u\nmaster u\nmaster u\n",
+         "7:1: second 'master' statement"),
+    ],
+)
+def test_statements_out_of_place_are_parse_errors(tmp_path, model, text):
+    path = tmp_path / "order.jv"
+    path.write_text(model)
+    assert run("el", str(path)) == (2, f"parse error: {text}\n")
+
+
+@pytest.mark.parametrize(
+    "defs, text",
+    [
+        ("def F = q\n", "3:9: undeclared identifier 'q'"),
+        ("def F = EL(u)\n", f"3:9: {_EL_OUTSIDE}"),
+        ("def F[a] = u\n", "3:5: def 'F' never uses index 'a'"),
+        ("def F = G\ndef G = F\n", "4:9: def 'F' is recursive"),
+    ],
+)
+def test_unused_defs_are_analysed(tmp_path, defs, text):
+    path = tmp_path / "unused.jv"
+    path.write_text(f"vars t\nfield u\n{defs}lagrangian u*u\n")
+    assert run("el", str(path)) == (2, f"parse error: {text}\n")
+
+
+def test_defs_of_gauge_and_master_lines_keep_their_analysis(tmp_path):
+    # G is analysed as a gauge operator and K over the antifields, as the lines that use them
+    source = (MODELS / "maxwell.jv").read_text()
+    source = source.replace("gauge C: -d(EL(A[nu]); nu)", "def G = -d(EL(A[nu]); nu)\ngauge C: G")
+    source = source.replace("master", "def K = A*[mu] * d(C;mu)\nmaster")
+    path = tmp_path / "maxwell_defs.jv"
+    path.write_text(source.replace("+ A*[mu] * d(C;mu)", "+ K"))
+    for command in ("el", "master"):
+        assert run(command, str(path)) == run(command, str(MODELS / "maxwell.jv"))
+
+
 def test_usage_error_exit_code():
     code, _ = run("divergence", str(MODELS / "free.jv"))
     assert code == 2

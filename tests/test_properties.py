@@ -1,9 +1,11 @@
 """Property tests of the kernel's canonical order, sum accumulator, atom
-invariant, substitution and powers, of the evolutionary derivation behind
-prolongations, d_KT and X_F, of the memoized derivative sweep behind the
-Euler operator, of the antibracket and the divergence verdict against their
-direct formulas, of the printer/parser round trip, and of gauge operators
-read back from their printed form."""
+invariant, substitution and powers, of its product against a reference
+product and the graded laws, of the normal form of every kernel result, of
+the evolutionary derivation behind prolongations, d_KT and X_F, of the
+memoized derivative sweep behind partial derivatives and the Euler operator,
+of the antibracket and the divergence verdict against their direct
+formulas, of the printer/parser round trip, and of gauge operators read back
+from their printed form."""
 
 import functools
 import operator
@@ -14,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from jetvar import jetcalc  # noqa: E402
+from jetvar import core, jetcalc  # noqa: E402
 from jetvar.bv import (  # noqa: E402
     BVExtension,
     antibracket_density,
@@ -80,6 +82,18 @@ def _old_term_key(mono):
 def _assert_orders(e: Expression):
     for a in e.atoms():
         assert a.order == sum(a.mindex), a
+
+
+def _assert_normal(e: Expression):
+    """Strictly increasing monomial keys, no zero coefficient, and factors
+    sorted: even atoms with nonzero exponents, odd atoms distinct."""
+    keys = [(m.even, m.odd) for m in e.terms]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), keys
+    for m in e.terms:
+        assert m.coeff != 0, m
+        even = [a for a, _ in m.even]
+        assert all(a1 < a2 for a1, a2 in zip(even, even[1:])) and all(x for _, x in m.even), m
+        assert all(a1 < a2 for a1, a2 in zip(m.odd, m.odd[1:])), m
 
 
 @st.composite
@@ -211,6 +225,85 @@ def _of_parity(e: Expression, parity: int) -> Expression:
     return Expression(e.sig, tuple(m for m in e.terms if e.monomial_grading(m).parity == parity))
 
 
+def _product_reference(a: Expression, b: Expression) -> dict:
+    """a*b as {(even, odd): coefficient}, sharing no code with the kernel:
+    concatenate the factors, add exponents, bubble-sort the odd factors
+    counting transpositions, and sum coefficients in a dict."""
+    acc = {}
+    for m1 in a.terms:
+        for m2 in b.terms:
+            exponents = {}
+            for atom, x in m1.even + m2.even:
+                exponents[atom] = exponents.get(atom, 0) + x
+            odd = list(m1.odd + m2.odd)
+            if len(set(odd)) < len(odd):
+                continue  # an odd square
+            sign = 1
+            for i in range(len(odd)):
+                for j in range(len(odd) - 1 - i):
+                    if odd[j] > odd[j + 1]:
+                        odd[j], odd[j + 1] = odd[j + 1], odd[j]
+                        sign = -sign
+            even = tuple(sorted((atom, x) for atom, x in exponents.items() if x))
+            key = (even, tuple(odd))
+            acc[key] = acc.get(key, 0) + sign * m1.coeff * m2.coeff
+    return {key: c for key, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_product_equals_the_reference_product(n, data):
+    sig = SIGS[n]
+    a, b = data.draw(expressions(sig)), data.draw(expressions(sig))
+    product = a * b
+    assert {(m.even, m.odd): m.coeff for m in product.terms} == _product_reference(a, b)
+    _assert_normal(product)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_product_is_graded_commutative(n, data):
+    sig = SIGS[n]
+    pa, pb = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    a = _of_parity(data.draw(expressions(sig)), pa)
+    b = _of_parity(data.draw(expressions(sig)), pb)
+    assert a * b == b * a * (-1 if pa and pb else 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_product_is_associative_and_distributive(n, data):
+    sig = SIGS[n]
+    a, b, c = (data.draw(expressions(sig, max_terms=3)) for _ in range(3))
+    # c - b cancels against b in b + (c - b)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + (c - b)) == a * b + a * (c - b)
+    assert (b + c) * a == b * a + c * a
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_every_result_is_in_normal_form(n, data):
+    sig = SIGS[n]
+    a, b = data.draw(expressions(sig)), data.draw(expressions(sig))
+    # b + a*k - a cancels a's terms for k = 1 and merges them otherwise
+    k = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+    parts = [a, b, a * k, -a]
+    for e in (a + b, a - b, a - a, b + a * k - a, a * b, b * a, Expression.sum(sig, parts)):
+        _assert_normal(e)
+    assert (a - a).terms == ()
+    chosen = data.draw(st.lists(st.sampled_from(sorted(a.atoms()) or [sig.atom("t")]),
+                                unique=True, max_size=3))
+    _assert_normal(substitute(a, {c: data.draw(replacements(sig, c)) for c in chosen}))
+    for c in a.atoms():
+        for side in ("left", "right"):
+            _assert_normal(partial_derivative(a, c, side))
+
+
 def _characteristics(data, sig, shift):
     """Characteristics on fields, the odd ghost and both antifields, each of
     parity (target parity + shift), so they define a derivation of parity shift."""
@@ -254,13 +347,33 @@ def test_derivation_obeys_graded_leibniz(n, data):
     assert jetcalc.prolong_apply(chars, a * b) == expected
 
 
+def _partial_reference(e: Expression, c, side: str) -> Expression:
+    """The graded partial derivative by one atom, one walk over the terms:
+    for an odd ``c``, one sign per odd factor on the chosen side of it."""
+    parity = e.sig.atom_grading(c).parity
+    out = []
+    for m in e.terms:
+        if parity == ODD:
+            for j, a in enumerate(m.odd):
+                if a == c:
+                    exposed = j if side == "left" else len(m.odd) - 1 - j
+                    sign = -1 if exposed % 2 else 1
+                    out.append(Monomial(m.coeff * sign, m.even, m.odd[:j] + m.odd[j + 1:]))
+            continue
+        for idx, (a, x) in enumerate(m.even):
+            if a == c:
+                rest = m.even[:idx] + ((a, x - 1),) if x != 1 else m.even[:idx]
+                out.append(Monomial(m.coeff * x, rest + m.even[idx + 1:], m.odd))
+    return Expression.from_terms(e.sig, out)
+
+
 def _euler_reference(e: Expression, gid: int, comp: tuple, side: str) -> Expression:
     """sum over the jet atoms of one component of (-1)^|alpha| D_alpha of the
-    graded partial derivative, one ``partial_derivative`` walk per atom."""
+    graded partial derivative, one reference walk per atom."""
     parts = []
     for a in e.jet_atoms():
         if (a.gen, a.comp) == (gid, comp):
-            term = jetcalc.apply_multi_derivative(partial_derivative(e, a, side), a.mindex)
+            term = jetcalc.apply_multi_derivative(_partial_reference(e, a, side), a.mindex)
             parts.append(-term if a.order % 2 else term)
     return Expression.sum(e.sig, parts)
 
@@ -272,12 +385,20 @@ def _euler_reference(e: Expression, gid: int, comp: tuple, side: str) -> Express
 @PROPERTY
 @given(data=st.data())
 def test_sweep_partials_equal_partial_derivative(n, data):
-    e = data.draw(expressions(BV_SIGS[n], max_terms=5))
+    sig = BV_SIGS[n]
+    e = data.draw(expressions(sig, max_terms=5))
+    if data.draw(st.booleans()):
+        # a Laurent factor: the parameter with a negative exponent
+        e = e * invert_monomial(sig.from_atom(sig.atom("m")) ** data.draw(st.integers(1, 2)))
     for side in ("left", "right"):
-        partials = jetcalc._memo(e, jetcalc._sweep, side)
-        assert set(partials) == e.jet_atoms()
-        for a, p in partials.items():
-            assert p == partial_derivative(e, a, side), (a, side)
+        partials = core._memo(e, core._sweep, side)
+        # every atom, parameters and variables included
+        assert set(partials) == e.atoms()
+        for a in e.atoms() | {data.draw(atoms(sig))}:
+            expected = _partial_reference(e, a, side)
+            assert partials.get(a, sig.zero()) == expected, (a, side)
+            assert partial_derivative(e, a, side) == expected, (a, side)
+            _assert_normal(expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,6 +1,7 @@
 """The README's command-line examples, run and compared with their printed
-output, its model-file and library examples, run and checked, and its
-command-line section, checked against the CLI's flags."""
+output, its model-file and library examples, run and checked, its
+command-line section, checked against the CLI's flags, and the library
+surface it points to (``jetvar.__all__``)."""
 
 import argparse
 import io
@@ -10,6 +11,7 @@ import shlex
 
 import pytest
 
+import jetvar
 from jetvar import check_master_equation, parse_model
 from jetvar.bv import BVExtension
 from jetvar.cli import _build_parser, cli_dispatch
@@ -90,3 +92,8 @@ def test_readme_command_line_names_exactly_the_cli_flags():
     flags = _cli_flags()
     assert named - flags == set(), "README names flags the CLI does not have"
     assert flags - named == set(), "CLI flags the README does not name"
+
+
+def test_every_exported_name_is_bound():
+    assert len(set(jetvar.__all__)) == len(jetvar.__all__)
+    assert [name for name in jetvar.__all__ if not hasattr(jetvar, name)] == []
