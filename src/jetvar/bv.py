@@ -122,8 +122,8 @@ class BVExtension:
 
 def antifield_component(e: Expression, level: int) -> Expression:
     """The part of an expression with the given total antifield number."""
-    terms = tuple(m for m in e.terms if e.monomial_grading(m).antifield == level)
-    return Expression(e.sig, terms)
+    part = [item for item in e._nums if e._key_grading(item[0]).antifield == level]
+    return Expression.from_terms(e.sig, part, e.den)
 
 
 def extend_to_bv(

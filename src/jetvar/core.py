@@ -8,15 +8,24 @@ canonical normal form, so equality and zero-recognition are exact, and every
 Koszul sign is produced by one mechanism: counting odd transpositions while
 sorting odd factors into the canonical atom order.
 
+Coefficients are integer numerators over one positive denominator per
+expression, reduced so that ``gcd(den, *numerators) == 1`` (the layout of
+FLINT's ``fmpq_poly``): sums scale to the lcm of the denominators, products
+multiply numerators and denominators, and derivatives multiply by integers,
+so no ``Fraction`` is built on those paths.  ``Fraction`` enters and leaves
+only at the edges: constants, the public ``Expression(sig, monomials)``
+constructor, ``constant_value``, ``invert_monomial`` and the ``terms`` view.
+
 ``Expression.from_terms`` is the one accumulator: sums, products and
-substitutions all hand it their terms to add up and sort.  Graded partial
-derivatives come from one sweep per expression and side that gives the
-derivative by every atom at once; it is memoized on the expression, and
+substitutions all hand it their terms to add up, sort and reduce.  Graded
+partial derivatives come from one sweep per expression and side that gives
+the derivative by every atom at once; it is memoized on the expression, and
 ``partial_derivative`` is a view of it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -238,21 +247,16 @@ class Signature:
         return self.from_atom(self.atom(name, comp, mindex))
 
     def from_atom(self, atom: Atom) -> "Expression":
-        parity = self.generators[atom.gen].grading.parity
-        if parity == ODD:
-            mono = Monomial(Fraction(1), (), (atom,))
-        else:
-            mono = Monomial(Fraction(1), ((atom, 1),), ())
-        return Expression(self, (mono,))
+        if self.generators[atom.gen].grading.parity == ODD:
+            return _make(self, 1, ((((), (atom,)), 1),))
+        return _make(self, 1, (((((atom, 1),), ()), 1),))
 
     def const(self, value: Rat) -> "Expression":
         value = Fraction(value)
-        if value == 0:
-            return Expression(self, ())
-        return Expression(self, (Monomial(value, (), ()),))
+        return Expression.from_terms(self, ((((), ()), value.numerator),), value.denominator)
 
     def zero(self) -> "Expression":
-        return Expression(self, ())
+        return _make(self, 1, ())
 
     def one(self) -> "Expression":
         return self.const(1)
@@ -273,6 +277,10 @@ class Signature:
 
 def _merge_even(e1: tuple, e2: tuple):
     """Merge two sorted even-factor lists, adding exponents."""
+    if not e1:
+        return e2
+    if not e2:
+        return e1
     out = []
     i = j = 0
     n1, n2 = len(e1), len(e2)
@@ -323,29 +331,28 @@ def _merge_odd(o1: tuple, o2: tuple):
     return tuple(out), (-1 if inversions % 2 else 1)
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial):
-    odd, sign = _merge_odd(m1.odd, m2.odd)
-    if odd is None:
-        return None
-    coeff = m1.coeff * m2.coeff
-    return Monomial(coeff if sign > 0 else -coeff, _merge_even(m1.even, m2.even), odd)
-
-
 class Expression:
     """A normal-form sum of monomials over a fixed signature.
 
-    Instances are immutable; all arithmetic returns new normalized values,
-    and ``from_terms`` is the one place that sums and sorts terms.  Two
-    expressions are equal iff their signatures and term lists coincide.
-    ``_memo`` fills ``_sweeps`` (left unset here) with derivative sweeps on
-    first use, the way ``Theory`` fills ``_el``.
+    ``_nums`` holds ``((even, odd), numerator)`` pairs with strictly
+    increasing keys and no zero numerator, over the positive denominator
+    ``den`` with ``gcd(den, *numerators) == 1``, so two expressions are equal
+    iff their signatures, denominators and numerators coincide.  ``terms`` is
+    the rational view of the same sum, built on first read.  Instances are
+    immutable; all arithmetic returns new normalized values, and
+    ``from_terms`` is the one place that sums and sorts terms.  ``_memo``
+    fills ``_sweeps`` (left unset here) with derivative sweeps on first use,
+    the way ``Theory`` fills ``_el``.
     """
 
-    __slots__ = ("sig", "terms", "_sweeps")
+    __slots__ = ("sig", "den", "_nums", "_terms", "_sweeps")
 
-    def __init__(self, sig: Signature, terms: tuple):
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, sig: Signature, terms: Iterable[Monomial]):
+        """The normal form of a sum of ``Monomial``s with rational coefficients."""
+        terms = [((m.even, m.odd), Fraction(m.coeff)) for m in terms]
+        den = math.lcm(*[c.denominator for _, c in terms])
+        e = Expression.from_terms(sig, [(key, int(c * den)) for key, c in terms], den)
+        _fill(self, sig, e.den, e._nums)
 
     def __setattr__(self, *args):
         raise AttributeError("Expression is immutable")
@@ -353,69 +360,87 @@ class Expression:
     # -- construction ---------------------------------------------------------
 
     @staticmethod
-    def from_terms(sig: Signature, monomials: Iterable[Monomial]) -> "Expression":
-        """The normal form of a sum of monomials: equal keys add up, zero sums
-        drop out, keys sort.  ``None`` (a vanished odd square) is skipped."""
+    def from_terms(sig: Signature, terms: Iterable[tuple], den: int = 1) -> "Expression":
+        """The normal form of a sum of ``((even, odd), numerator)`` pairs over
+        the positive integer ``den``: equal keys add up, zero sums drop out,
+        keys sort, and one gcd reduces the denominator."""
         acc = {}
-        for m in monomials:
-            if m is not None:
-                key = (m.even, m.odd)
-                c = acc.get(key)
-                acc[key] = m.coeff if c is None else c + m.coeff
-        # keys (even, odd) are unique, so the sort never reaches a coefficient
-        live = sorted(item for item in acc.items() if item[1] != 0)
-        return Expression(sig, tuple(Monomial(c, even, odd) for (even, odd), c in live))
+        get = acc.get
+        for key, c in terms:
+            acc[key] = get(key, 0) + c
+        # keys (even, odd) are unique, so the sort never reaches a numerator
+        live = [item for item in acc.items() if item[1]]
+        live.sort()
+        if den != 1:
+            g = math.gcd(den, *[c for _, c in live])
+            if g != 1:
+                den //= g
+                live = [(key, c // g) for key, c in live]
+        return _make(sig, den, tuple(live))
 
     @staticmethod
     def sum(sig: Signature, parts: Iterable["Expression"]) -> "Expression":
-        """Normalized sum of many expressions: one accumulation, one sort."""
+        """Normalized sum of many expressions: one accumulation over the lcm
+        of their denominators, one sort."""
+        parts = list(parts)
+        for p in parts:
+            if p.sig != sig:
+                raise GeneratorMismatchError("expressions belong to different theories")
+        den = math.lcm(*[p.den for p in parts])
+        terms = []
+        for p in parts:
+            scale = den // p.den
+            terms.extend(p._nums if scale == 1 else [(key, c * scale) for key, c in p._nums])
+        return Expression.from_terms(sig, terms, den)
 
-        def terms():
-            for p in parts:
-                if p.sig != sig:
-                    raise GeneratorMismatchError("expressions belong to different theories")
-                yield from p.terms
-
-        return Expression.from_terms(sig, terms())
+    @property
+    def terms(self) -> tuple:
+        """The rational view: one ``Monomial`` with its exact ``Fraction``
+        coefficient per term, in normal-form order; built once and kept."""
+        terms = getattr(self, "_terms", None)
+        if terms is None:
+            den = self.den
+            terms = tuple(Monomial(Fraction(c, den), even, odd) for (even, odd), c in self._nums)
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     # -- basic predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.sig.const(other)
         if not isinstance(other, Expression):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.sig.const(other)
+        return self.sig == other.sig and self.den == other.den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash((self.den, self._nums))
 
     # -- arithmetic -------------------------------------------------------------
 
     def _coerce(self, other) -> "Expression":
+        # Expression first: isinstance against Fraction goes through its ABC
+        if isinstance(other, Expression):
+            if other.sig != self.sig:
+                raise GeneratorMismatchError("expressions belong to different theories")
+            return other
         if isinstance(other, (int, Fraction)):
             return self.sig.const(other)
-        if not isinstance(other, Expression):
-            raise TypeError(f"cannot combine Expression with {type(other).__name__}")
-        if other.sig != self.sig:
-            raise GeneratorMismatchError("expressions belong to different theories")
-        return other
+        raise TypeError(f"cannot combine Expression with {type(other).__name__}")
 
     def __add__(self, other):
-        return Expression.from_terms(self.sig, self.terms + self._coerce(other).terms)
+        return Expression.sum(self.sig, (self, self._coerce(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expression(
-            self.sig, tuple(Monomial(-m.coeff, m.even, m.odd) for m in self.terms)
-        )
+        return _make(self.sig, self.den, tuple((key, -c) for key, c in self._nums))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -424,21 +449,17 @@ class Expression:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return self.sig.zero()
-            return Expression(
-                self.sig, tuple(Monomial(m.coeff * c, m.even, m.odd) for m in self.terms)
-            )
-        right = self._coerce(other).terms
-        return Expression.from_terms(
-            self.sig, [_mul_monomials(m1, m2) for m1 in self.terms for m2 in right]
-        )
+        other = self._coerce(other)
+        right = other._nums
+        out = []
+        for (even1, odd1), c1 in self._nums:
+            for (even2, odd2), c2 in right:
+                odd, sign = _merge_odd(odd1, odd2)
+                if odd is not None:
+                    out.append(((_merge_even(even1, even2), odd), sign * c1 * c2))
+        return Expression.from_terms(self.sig, out, self.den * other.den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
         return self._coerce(other) * self
 
     def __pow__(self, n: int):
@@ -466,9 +487,9 @@ class Expression:
     def atoms(self) -> set:
         """All distinct atoms occurring in the expression."""
         out = set()
-        for m in self.terms:
-            out.update(a for a, _ in m.even)
-            out.update(m.odd)
+        for (even, odd), _ in self._nums:
+            out.update(a for a, _ in even)
+            out.update(odd)
         return out
 
     def jet_atoms(self) -> set:
@@ -481,31 +502,48 @@ class Expression:
 
     def constant_value(self) -> Fraction:
         """The value of a constant expression, else UnknownGeneratorError."""
-        if not self.terms:
+        if not self._nums:
             return Fraction(0)
-        if len(self.terms) == 1 and not self.terms[0].even and not self.terms[0].odd:
-            return self.terms[0].coeff
+        if len(self._nums) == 1 and self._nums[0][0] == ((), ()):
+            return Fraction(self._nums[0][1], self.den)
         raise UnknownGeneratorError("expression is not a rational constant")
 
     def monomial_grading(self, mono: Monomial) -> Grading:
+        return self._key_grading((mono.even, mono.odd))
+
+    def _key_grading(self, key: tuple) -> Grading:
+        """Grading of the monomial with key ``(even, odd)``."""
+        even, odd = key
         gens = self.sig.generators
-        parity = len(mono.odd) % 2
         ghost = 0
         afn = 0
-        for a, x in mono.even:
+        for a, x in even:
             g = gens[a.gen].grading
             ghost += g.ghost * x
             afn += g.antifield * x
-        for a in mono.odd:
+        for a in odd:
             g = gens[a.gen].grading
             ghost += g.ghost
             afn += g.antifield
-        return Grading(parity, ghost, afn)
+        return Grading(len(odd) % 2, ghost, afn)
 
     def __repr__(self):
         from .printer import format_expression
 
         return f"<Expression {format_expression(self)}>"
+
+
+def _fill(e: Expression, sig: Signature, den: int, nums: tuple):
+    object.__setattr__(e, "sig", sig)
+    object.__setattr__(e, "den", den)
+    object.__setattr__(e, "_nums", nums)
+
+
+def _make(sig: Signature, den: int, nums: tuple) -> Expression:
+    """An expression from numerators already in normal form over ``den``."""
+    e = object.__new__(Expression)
+    _fill(e, sig, den, nums)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +572,16 @@ def _sweep(e: Expression, side: str) -> dict:
     """
     right = side == "right"
     buckets = {}
-    for m in e.terms:
-        even, odd, c = m.even, m.odd, m.coeff
+    for (even, odd), c in e._nums:
         for idx, (a, x) in enumerate(even):
             rest = even[:idx] + ((a, x - 1),) if x != 1 else even[:idx]
-            buckets.setdefault(a, []).append(Monomial(c * x, rest + even[idx + 1:], odd))
+            buckets.setdefault(a, []).append(((rest + even[idx + 1:], odd), c * x))
         last = len(odd) - 1
         for j, a in enumerate(odd):
             exposed = last - j if right else j
             rest = odd[:j] + odd[j + 1:]
-            buckets.setdefault(a, []).append(Monomial(-c if exposed % 2 else c, even, rest))
-    return {a: Expression.from_terms(e.sig, monos) for a, monos in buckets.items()}
+            buckets.setdefault(a, []).append(((even, rest), -c if exposed % 2 else c))
+    return {a: Expression.from_terms(e.sig, terms, e.den) for a, terms in buckets.items()}
 
 
 def partial_derivative(e: Expression, c: Atom, side: str = "left") -> Expression:
@@ -557,7 +594,7 @@ def grading_of(e: Expression) -> Grading:
     """Common grading of all terms; errors on zero or mixed expressions."""
     if e.is_zero():
         raise ZeroExpressionGradingError("the zero expression has no definite grading")
-    gradings = {e.monomial_grading(m) for m in e.terms}
+    gradings = {e._key_grading(key) for key, _ in e._nums}
     if len(gradings) > 1:
         raise InhomogeneousExpressionError(sorted(gradings, key=str))
     return gradings.pop()
@@ -565,15 +602,15 @@ def grading_of(e: Expression) -> Grading:
 
 def is_homogeneous_of(e: Expression, grading: Grading) -> bool:
     """True when every term of ``e`` has the given grading (zero passes any)."""
-    return all(e.monomial_grading(m) == grading for m in e.terms)
+    return all(e._key_grading(key) == grading for key, _ in e._nums)
 
 
 def homogeneous_components(e: Expression) -> dict:
     """Split an expression into its graded-homogeneous parts, keyed by grading."""
     buckets = {}
-    for m in e.terms:
-        buckets.setdefault(e.monomial_grading(m), []).append(m)
-    return {g: Expression(e.sig, tuple(monos)) for g, monos in buckets.items()}
+    for item in e._nums:
+        buckets.setdefault(e._key_grading(item[0]), []).append(item)
+    return {g: Expression.from_terms(e.sig, part, e.den) for g, part in buckets.items()}
 
 
 def parity_ghost_of(e: Expression):
@@ -585,8 +622,8 @@ def parity_ghost_of(e: Expression):
     if e.is_zero():
         raise ZeroExpressionGradingError("the zero expression has no definite grading")
     seen = set()
-    for m in e.terms:
-        g = e.monomial_grading(m)
+    for key, _ in e._nums:
+        g = e._key_grading(key)
         seen.add((g.parity, g.ghost))
     if len(seen) > 1:
         raise InhomogeneousExpressionError(
@@ -601,7 +638,8 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
     One call builds each factor image ``repl ** x`` once, and each product of
     a monomial's leading factors (even factors, then odd ones, in stored
     order) once: sorted monomials share leading factors, so they share those
-    products.  A monomial's image stops at the first zero prefix product.
+    products.  A monomial's image stops at the first zero prefix product, and
+    the images are scaled to the lcm of their denominators.
     """
     sig = e.sig
     bound = {}
@@ -635,10 +673,10 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
     # trie of leading factors: factor -> (product of the prefix, child trie)
     root = {}
     one = sig.one()
-    scaled = []
-    for m in e.terms:
+    products = []  # (numerator of the monomial, image of its factors)
+    for (even, odd), c in e._nums:
         node, product = root, one
-        for factor in m.even + tuple((a, 1) for a in m.odd):
+        for factor in even + tuple((a, 1) for a in odd):
             entry = node.get(factor)
             if entry is None:
                 f = image(factor)
@@ -646,26 +684,31 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
             product, node = entry
             if not product:
                 break
-        c = m.coeff
-        scaled.extend(Monomial(c * t.coeff, t.even, t.odd) for t in product.terms)
-    return Expression.from_terms(sig, scaled)
+        else:
+            products.append((c, product))
+    den = math.lcm(*[p.den for _, p in products])
+    scaled = []
+    for c, p in products:
+        scale = c * (den // p.den)
+        scaled.extend((key, scale * n) for key, n in p._nums)
+    return Expression.from_terms(sig, scaled, e.den * den)
 
 
 def _param_power(sig: Signature, atom: Atom, exponent: int) -> Expression:
     """Laurent monomial in a parameter (negative exponents arise on-shell only)."""
     if sig.generators[atom.gen].role != PARAM:
         raise GradingViolationError("negative exponents are reserved for parameters")
-    return Expression(sig, (Monomial(Fraction(1), ((atom, exponent),), ()),))
+    return _make(sig, 1, (((((atom, exponent),), ()), 1),))
 
 
 def invert_monomial(e: Expression) -> Expression:
     """Inverse of a single monomial whose atoms are all parameters."""
-    if len(e.terms) != 1 or e.terms[0].odd:
+    if len(e._nums) != 1:
         raise GradingViolationError("only parameter monomials are invertible")
-    m = e.terms[0]
+    (even, odd), c = e._nums[0]
     sig = e.sig
-    for a, _ in m.even:
-        if sig.generators[a.gen].role != PARAM:
-            raise GradingViolationError("only parameter monomials are invertible")
-    even = tuple((a, -x) for a, x in m.even)
-    return Expression(sig, (Monomial(Fraction(1) / m.coeff, even, ()),))
+    if odd or any(sig.generators[a.gen].role != PARAM for a, _ in even):
+        raise GradingViolationError("only parameter monomials are invertible")
+    inverse = Fraction(e.den, c)
+    key = (tuple((a, -x) for a, x in even), ())
+    return Expression.from_terms(sig, ((key, inverse.numerator),), inverse.denominator)

@@ -22,13 +22,13 @@ from, so the loop strictly shrinks the remaining witness.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence, Tuple, Union
 
 from .core import (
     Atom,
     Expression,
     JET_ROLES,
-    Monomial,
     ODD,
     PARAM,
     VAR,
@@ -61,31 +61,30 @@ def total_derivative(e: Expression, var: VarRef) -> Expression:
     var_gid = sig.var_generator_id(pos)
     gens = sig.generators
     out = []
-    for m in e.terms:
-        for idx, (a, x) in enumerate(m.even):
+    for (even, odd), c in e._nums:
+        for idx, (a, x) in enumerate(even):
             role = gens[a.gen].role
             if role == PARAM:
                 continue
             if x != 1:
-                lowered = m.even[:idx] + ((a, x - 1),) + m.even[idx + 1:]
+                lowered = even[:idx] + ((a, x - 1),) + even[idx + 1:]
             else:
-                lowered = m.even[:idx] + m.even[idx + 1:]
+                lowered = even[:idx] + even[idx + 1:]
             if role == VAR:
                 if a.gen == var_gid:
-                    out.append(Monomial(m.coeff * x, lowered, m.odd))
+                    out.append(((lowered, odd), c * x))
                 continue
             shifted = sig.shift_atom(a, pos)
-            mono = Monomial(m.coeff * x, _merge_one_even(lowered, shifted), m.odd)
-            out.append(mono)
-        for j, a in enumerate(m.odd):
+            out.append(((_merge_one_even(lowered, shifted), odd), c * x))
+        for j, a in enumerate(odd):
             shifted = sig.shift_atom(a, pos)
-            others = m.odd[:j] + m.odd[j + 1:]
+            others = odd[:j] + odd[j + 1:]
             placed = _insert_odd(others, shifted, j)
             if placed is None:
                 continue
             new_odd, sign = placed
-            out.append(Monomial(m.coeff * sign, m.even, new_odd))
-    return Expression.from_terms(sig, out)
+            out.append(((even, new_odd), c * sign))
+    return Expression.from_terms(sig, out, e.den)
 
 
 def _merge_one_even(even: tuple, atom: Atom) -> tuple:
@@ -185,23 +184,19 @@ def ibp_equal(e1: Expression, e2: Expression) -> bool:
 
 
 def _antiderivative_even(e: Expression, atom: Atom) -> Expression:
-    """Formal antiderivative of ``e`` in one even atom: b^k -> b^(k+1)/(k+1)."""
-    sig = e.sig
-    out = []
-    for m in e.terms:
-        placed = False
-        even = list(m.even)
+    """Formal antiderivative of ``e`` in one even atom: b^k -> b^(k+1)/(k+1),
+    over the lcm of the new divisors."""
+    out = []  # (key, numerator, divisor)
+    for (even, odd), c in e._nums:
         for idx, (a, x) in enumerate(even):
             if a == atom:
-                even[idx] = (a, x + 1)
-                out.append(Monomial(m.coeff / (x + 1), tuple(even), m.odd))
-                placed = True
+                out.append(((even[:idx] + ((a, x + 1),) + even[idx + 1:], odd), c, x + 1))
                 break
-        if not placed:
-            out.append(
-                Monomial(m.coeff, _merge_one_even(m.even, atom), m.odd)
-            )
-    return Expression.from_terms(sig, out)
+        else:
+            out.append(((_merge_one_even(even, atom), odd), c, 1))
+    scale = math.lcm(*[k for _, _, k in out])
+    return Expression.from_terms(e.sig, [(key, c * (scale // k)) for key, c, k in out],
+                                 e.den * scale)
 
 
 _WITNESS_BUDGET = 100_000

@@ -47,7 +47,6 @@ from .core import (
     GHOST,
     Generator,
     Grading,
-    Monomial,
     ODD,
     PARAM,
     Signature,
@@ -753,23 +752,23 @@ class Expander:
         table: Dict[tuple, Dict[tuple, Expression]] = {}
         for sign, term in node.data:
             parts: Dict[tuple, list] = {}
-            for m in self._eval_product(term, env, sign).terms:
+            product = self._eval_product(term, env, sign)
+            for (even, odd), c in product._nums:
                 # EL coordinates are even and sort after every base atom
-                if not m.even or m.even[-1][0].gen < nbase:
+                if not even or even[-1][0].gen < nbase:
                     raise ParseError(
                         "gauge operator terms must contain one EL(...) factor", term.line, term.col
                     )
-                el, power = m.even[-1]
-                if power > 1 or (len(m.even) > 1 and m.even[-2][0].gen >= nbase):
+                el, power = even[-1]
+                if power > 1 or (len(even) > 1 and even[-2][0].gen >= nbase):
                     raise ParseError(
                         "gauge operator terms must be linear in EL(...)", term.line, term.col
                     )
                 field = (base.generators[el.gen - nbase].name, el.comp)
-                coeff = Monomial(m.coeff, m.even[:-1], m.odd)
-                parts.setdefault((field, el.mindex), []).append(coeff)
-            for (field, mindex), monomials in parts.items():
+                parts.setdefault((field, el.mindex), []).append(((even[:-1], odd), c))
+            for (field, mindex), terms in parts.items():
                 entry = table.setdefault(field, {})
-                coeff = Expression.from_terms(base, monomials)
+                coeff = Expression.from_terms(base, terms, product.den)
                 # '+' rather than one Expression.sum: bench/test_bench.py requires
                 # gauge_cli to reach Expression.__add__ (core.add), and this is where
                 entry[mindex] = entry.get(mindex, base.zero()) + coeff
@@ -904,14 +903,18 @@ def _parse_range(parser: _Parser):
 
 
 def _metric_entry(parser: _Parser) -> Fraction:
+    tok = parser.peek()
     num = parser.signed_int()
-    if parser.peek().kind != "/":
-        return Fraction(num)
-    parser.next()
-    den = parser.expect("int")
-    if int(den.text) == 0:
-        raise ParseError("metric entry has denominator 0", den.line, den.col)
-    return Fraction(num, int(den.text))
+    den = 1
+    if parser.peek().kind == "/":
+        parser.next()
+        den_tok = parser.expect("int")
+        den = int(den_tok.text)
+        if den == 0:
+            raise ParseError("metric entry has denominator 0", den_tok.line, den_tok.col)
+    if num == 0:
+        raise ParseError("metric diagonal entries must be nonzero", tok.line, tok.col)
+    return Fraction(num, den)
 
 
 def _parse_generator_line(parser: _Parser, name: str, role: str, nvars: int):
@@ -922,6 +925,7 @@ def _parse_generator_line(parser: _Parser, name: str, role: str, nvars: int):
         parser.expect("]")
     parity = ODD if role == GHOST else EVEN
     ghost_number = 1 if role == GHOST else 0
+    ghost_tok = None
     while parser.peek().kind == "name":
         opt = parser.next()
         parser.expect("=")
@@ -931,19 +935,24 @@ def _parse_generator_line(parser: _Parser, name: str, role: str, nvars: int):
                 raise ParseError("parity must be 'even' or 'odd'", val.line, val.col)
             parity = EVEN if val.text == "even" else ODD
         elif opt.text == "ghost":
+            ghost_tok = parser.peek()
             ghost_number = parser.signed_int()
         else:
             raise ParseError(f"unknown option {opt.text!r}", opt.line, opt.col)
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
-    return Generator(
-        name,
-        role,
-        tuple((0, nvars - 1) if r is _RANGE_DIM else r for r in ranges),
-        Grading(parity, ghost_number),
-        tuple(r is _RANGE_DIM for r in ranges),
-    )
+    try:
+        return Generator(
+            name,
+            role,
+            tuple((0, nvars - 1) if r is _RANGE_DIM else r for r in ranges),
+            Grading(parity, ghost_number),
+            tuple(r is _RANGE_DIM for r in ranges),
+        )
+    except ValueError as exc:
+        # ranges and parity are checked above, so the ghost number is at fault
+        raise ParseError(str(exc), ghost_tok.line, ghost_tok.col) from None
 
 
 def _logical_lines(text: str):
@@ -976,6 +985,7 @@ class _ModelBuilder:
     def __init__(self):
         self.variables: List[str] = []
         self.metric: Optional[List[Fraction]] = None
+        self.metric_tok: Optional[Token] = None
         self.parameters: List[str] = []
         self.fields: List[Generator] = []
         self.ghost_specs: List[Generator] = []
@@ -1005,16 +1015,17 @@ class _ModelBuilder:
             raise ParseError("no independent variables declared", line, 1)
         metric = self.metric if self.metric is not None else [Fraction(1)] * len(self.variables)
         if len(metric) != len(self.variables):
+            tok = self.metric_tok
             raise MetricDimensionError(
-                f"metric has {len(metric)} entries for {len(self.variables)} variables", line, 1
+                f"metric has {len(metric)} entries for {len(self.variables)} variables",
+                tok.line,
+                tok.col,
             )
+        # names are unique and metric entries nonzero by now, so Signature accepts these
         gens = [Generator(v, VAR) for v in self.variables]
         gens += [Generator(p, PARAM) for p in self.parameters]
         gens += self.fields
-        try:
-            self.signature = Signature(gens, metric)
-        except ValueError as exc:
-            raise ParseError(str(exc), line, 1) from None
+        self.signature = Signature(gens, metric)
 
 
 def parse_model(text: str):
@@ -1045,6 +1056,7 @@ def parse_model(text: str):
             if tag.text != "diag":
                 raise ParseError("expected 'diag(...)'", tag.line, tag.col)
             rest.expect("(")
+            builder.metric_tok = head
             builder.metric = rest.comma_list(lambda: _metric_entry(rest))
             rest.expect(")")
             rest.expect("end")

@@ -19,11 +19,11 @@ from .core import (
     EVEN_GRADING,
     Expression,
     FIELD,
-    Monomial,
     ODD,
     PARAM,
     Signature,
     VAR,
+    _make,
     grading_of,
     invert_monomial,
     is_homogeneous_of,
@@ -182,7 +182,7 @@ def _transfer(e: Expression, sig: Signature) -> Expression:
     n = len(e.sig.generators)
     if sig.generators[:n] != e.sig.generators or sig.metric != e.sig.metric:
         raise GeneratorMismatchError("expression does not embed into the extended theory")
-    return Expression(sig, e.terms)
+    return _make(sig, e.den, e._nums)
 
 
 class NoetherOperator:
@@ -410,7 +410,9 @@ def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expr
     """Integrate a jet-free polynomial over a rational box, variable by variable.
 
     Each moment (variable, exponent) and each product of the box lengths of
-    the variables a term lacks is computed once per call.
+    the variables a term lacks is computed once per call; their numerators
+    and denominators fold into each term as integers, over the lcm of the
+    terms' denominators.
     """
     sig = expr.sig
     spans = {}
@@ -421,21 +423,22 @@ def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expr
         spans[sig.generator_id(var.name)] = (Fraction(lo), Fraction(hi))
     moments = {}
     lacking = {}  # variables a term has -> product of the other box lengths
-    out = []
-    for m in expr.terms:
-        if m.odd:
+    out = []  # (key, numerator, denominator)
+    for (even, odd), num in expr._nums:
+        if odd:
             raise OddDensityError("cannot integrate an odd integrand")
-        coeff = m.coeff
+        den = 1
         kept = []
         seen = []
-        for atom, exp in m.even:
+        for atom, exp in even:
             gid = atom.gen
             if gid in spans:
                 moment = moments.get((gid, exp))
                 if moment is None:
                     lo, hi = spans[gid]
                     moment = moments[(gid, exp)] = (hi ** (exp + 1) - lo ** (exp + 1)) / (exp + 1)
-                coeff *= moment
+                num *= moment.numerator
+                den *= moment.denominator
                 seen.append(gid)
             else:
                 if sig.generators[gid].role != PARAM:
@@ -449,8 +452,10 @@ def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expr
             lengths = lacking[seen] = math.prod(
                 hi - lo for gid, (lo, hi) in spans.items() if gid not in seen
             )
-        out.append(Monomial(coeff * lengths, tuple(kept), ()))
-    return Expression.from_terms(sig, out)
+        out.append(((tuple(kept), ()), num * lengths.numerator, den * lengths.denominator))
+    scale = math.lcm(*[d for _, _, d in out])
+    return Expression.from_terms(sig, [(key, n * (scale // d)) for key, n, d in out],
+                                 expr.den * scale)
 
 
 def integrate_on_box_expression(

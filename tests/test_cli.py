@@ -295,6 +295,23 @@ def test_statements_out_of_place_are_parse_errors(tmp_path, model, text):
 
 
 @pytest.mark.parametrize(
+    "model, text",
+    [
+        ("vars t\nfield u\nghost C ghost=0\ngauge C: 0*EL(u)\nlagrangian u*u\n",
+         "3:15: ghost 'C' must have ghost number >= 1"),
+        ("vars t\nmetric diag(0)\nfield u\nlagrangian u*u\n",
+         "2:13: metric diagonal entries must be nonzero"),
+        ("vars t\nmetric diag(1, -1)\nfield u\nlagrangian u*u\n",
+         "2:1: metric has 2 entries for 1 variables"),
+    ],
+)
+def test_declaration_errors_point_at_their_cause(tmp_path, model, text):
+    path = tmp_path / "declarations.jv"
+    path.write_text(model)
+    assert run("el", str(path)) == (2, f"parse error: {text}\n")
+
+
+@pytest.mark.parametrize(
     "defs, text",
     [
         ("def F = q\n", "3:9: undeclared identifier 'q'"),

@@ -99,8 +99,8 @@ class TestArithmetic:
         rng = random.Random(7)
         for _ in range(100):
             e = random_expression(mech_sig, rng)
-            again = Expression.from_terms(mech_sig, e.terms)
-            assert again == e
+            assert Expression.from_terms(mech_sig, e._nums, e.den) == e
+            assert Expression(mech_sig, e.terms) == e
 
     def test_graded_commutativity_random(self, mech_sig):
         rng = random.Random(11)

@@ -8,6 +8,7 @@ formulas, of the printer/parser round trip, and of gauge operators read back
 from their printed form."""
 
 import functools
+import math
 import operator
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from jetvar import core, jetcalc  # noqa: E402
 from jetvar.bv import (  # noqa: E402
     BVExtension,
     antibracket_density,
+    antifield_component,
     antifield_grading,
     antifield_name,
 )
@@ -85,10 +87,17 @@ def _assert_orders(e: Expression):
 
 
 def _assert_normal(e: Expression):
-    """Strictly increasing monomial keys, no zero coefficient, and factors
-    sorted: even atoms with nonzero exponents, odd atoms distinct."""
-    keys = [(m.even, m.odd) for m in e.terms]
+    """Strictly increasing monomial keys, no zero numerator over a positive
+    denominator that shares no factor with all numerators, a rational view
+    that rebuilds the same expression, and factors sorted: even atoms with
+    nonzero exponents, odd atoms distinct."""
+    keys = [key for key, _ in e._nums]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), keys
+    numerators = [c for _, c in e._nums]
+    assert all(type(c) is int and c for c in numerators), numerators
+    assert type(e.den) is int and e.den > 0 and math.gcd(e.den, *numerators) == 1, e.den
+    assert keys == [(m.even, m.odd) for m in e.terms]
+    assert Expression(e.sig, e.terms) == e
     for m in e.terms:
         assert m.coeff != 0, m
         even = [a for a, _ in m.even]
@@ -302,6 +311,34 @@ def test_every_result_is_in_normal_form(n, data):
     for c in a.atoms():
         for side in ("left", "right"):
             _assert_normal(partial_derivative(a, c, side))
+    _assert_normal(a ** data.draw(st.integers(0, 3)))
+    _assert_normal(jetcalc.total_derivative(a, data.draw(st.integers(0, n - 1))))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_graded_parts_re_reduce_the_denominator(n, data):
+    sig = BV_SIGS[n]
+    e = data.draw(expressions(sig, max_terms=6)) * data.draw(coefficients)
+    components = homogeneous_components(e)
+    layers = [antifield_component(e, level) for level in {g.antifield for g in components}]
+    for part in [*components.values(), *layers]:
+        _assert_normal(part)
+    assert Expression.sum(sig, components.values()) == e
+    assert Expression.sum(sig, layers) == e
+
+
+def test_a_part_of_a_normal_form_drops_the_shared_factor():
+    sig = BV_SIGS[1]
+    u, psi, star = sig.coord("u", (1,)), sig.coord("psi"), sig.coord("u*", (1,))
+    e = u / 2 + psi / 3 + u * psi / 6
+    assert (e.den, [c for _, c in e._nums]) == (6, [2, 3, 1])
+    parts = homogeneous_components(e)
+    assert [(p.den, [c for _, c in p._nums]) for p in parts.values()] == [(6, [2, 1]), (2, [1])]
+    mixed = u * 4 / 3 + star * psi / 6
+    assert antifield_component(mixed, 0) == u * 4 / 3
+    assert (antifield_component(mixed, 0).den, antifield_component(mixed, 1).den) == (3, 6)
 
 
 def _characteristics(data, sig, shift):
@@ -364,7 +401,7 @@ def _partial_reference(e: Expression, c, side: str) -> Expression:
             if a == c:
                 rest = m.even[:idx] + ((a, x - 1),) if x != 1 else m.even[:idx]
                 out.append(Monomial(m.coeff * x, rest + m.even[idx + 1:], m.odd))
-    return Expression.from_terms(e.sig, out)
+    return Expression(e.sig, out)
 
 
 def _euler_reference(e: Expression, gid: int, comp: tuple, side: str) -> Expression:
