@@ -7,8 +7,8 @@ generator of grading (p, g, 0) gets an antifield of grading
 
 The antibracket is realized on densities through the Hamiltonian
 derivation X_F, whose characteristics are dR F/dPhi on each antifield Phi*
-and -dR F/dPhi* on each field or ghost Phi.  Paired with the left
-variational derivatives of G they give
+and -dR F/dPhi* on each field or ghost Phi, signed left derivatives of F.
+Paired with the left variational derivatives of G they give
 
     (F, G) = sum over generator pairs of
              dR F/dPhi * dL G/dPhi*  -  dR F/dPhi* * dL G/dPhi,
@@ -30,6 +30,7 @@ from .core import (
     Generator,
     Grading,
     Signature,
+    _memo,
     parity_ghost_of,
 )
 from . import jetcalc
@@ -210,16 +211,20 @@ def _as_expression(f, sig: Signature) -> Expression:
     return f
 
 
-def _hamiltonian_characteristics(bv: BVExtension, f: Expression) -> Dict[Component, Expression]:
-    """X_F's characteristics: dR F/dPhi on Phi* and -dR F/dPhi* on Phi."""
-    chars: Dict[Component, Expression] = {}
-    for (name, comp), (star, _) in bv.pairs():
-        rf_phi = jetcalc.variational_derivative(f, name, comp, side="right")
-        if rf_phi:
-            chars[(star, comp)] = rf_phi
-        rf_star = jetcalc.variational_derivative(f, star, comp, side="right")
-        if rf_star:
-            chars[(name, comp)] = -rf_star
+def _hamiltonian_characteristics(f: Expression) -> Dict[Component, Expression]:
+    """X_F's characteristics: dR F/dPhi on Phi* and -dR F/dPhi* on Phi, for F
+    homogeneous in parity p and ghost number.  dR F/dz = (-1)^(|z| (p + 1))
+    dL F/dz, read from F's memoized Euler operator."""
+    if not f:
+        return {}
+    p, _ = parity_ghost_of(f)
+    chars = {}
+    for (gid, comp), lf in _memo(f, jetcalc._euler).items():
+        if lf:
+            gen = f.sig.generators[gid]
+            star = gen.role == ANTIFIELD
+            target = gen.name[:-1] if star else antifield_name(gen.name)
+            chars[(target, comp)] = -lf if (gen.grading.parity * (p + 1) + star) % 2 else lf
     return chars
 
 
@@ -229,13 +234,11 @@ def antibracket_density(bv: BVExtension, f, g) -> Expression:
     sig = bv.signature
     f = _as_expression(f, sig)
     g = _as_expression(g, sig)
-    if f:
-        parity_ghost_of(f)
     if g:
         parity_ghost_of(g)
     parts = (
-        q * jetcalc.variational_derivative(g, name, comp, "left")
-        for (name, comp), q in _hamiltonian_characteristics(bv, f).items()
+        q * jetcalc.variational_derivative(g, name, comp)
+        for (name, comp), q in _hamiltonian_characteristics(f).items()
     )
     return Expression.sum(sig, parts)
 
@@ -269,10 +272,11 @@ def hamiltonian_derivation(bv: BVExtension, f, e: Expression) -> Expression:
     """The evolutionary derivation X_F with X_F(g) = (F, g) modulo divergences.
 
     Unlike the density-level bracket, X_F is an honest graded derivation, so
-    the bracket's Leibniz rule holds with X_F inside the products.
+    the bracket's Leibniz rule holds with X_F inside the products.  F must be
+    homogeneous in parity and ghost number, as in the bracket.
     """
     sig = bv.signature
-    chars = _hamiltonian_characteristics(bv, _as_expression(f, sig))
+    chars = _hamiltonian_characteristics(_as_expression(f, sig))
     return jetcalc.prolong_apply(chars, _as_expression(e, sig))
 
 

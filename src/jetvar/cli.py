@@ -79,8 +79,11 @@ def _parse_box(text: str):
         if ".." not in span:
             raise ParseError(f"box entry {chunk!r} is not of the form var=lo..hi")
         lo, hi = span.split("..", 1)
+        name = name.strip()
+        if name in box:
+            raise ParseError(f"box bounds {name!r} twice")
         try:
-            box[name.strip()] = (Fraction(lo.strip()), Fraction(hi.strip()))
+            box[name] = (Fraction(lo.strip()), Fraction(hi.strip()))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational bounds in {chunk!r}") from None
     return box
@@ -92,8 +95,11 @@ def _parse_params(entries):
         if "=" not in entry:
             raise ParseError(f"parameter binding {entry!r} is not of the form name=value")
         name, value = entry.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise ParseError(f"parameter {name!r} is bound twice")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational value in {entry!r}") from None
     return out
@@ -293,7 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", metavar="NAME")
     p.add_argument("--dim", type=int, default=None, help="base dimension for gauge models")
     p.add_argument("--potential", default=None, help="potential for free_particle")
-    common(p)
     p.set_defaults(func=_cmd_models)
 
     return parser

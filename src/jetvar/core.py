@@ -18,9 +18,9 @@ constructor, ``constant_value``, ``invert_monomial`` and the ``terms`` view.
 
 ``Expression.from_terms`` is the one accumulator: sums, products and
 substitutions all hand it their terms to add up, sort and reduce.  Graded
-partial derivatives come from one sweep per expression and side that gives
-the derivative by every atom at once; it is memoized on the expression, and
-``partial_derivative`` is a view of it.
+partial derivatives are left ones, from one memoized sweep per expression
+that gives the derivative by every atom at once (``partial_derivative`` is a
+view of it); for ``e`` of parity ``p``, dR e/dz = (-1)^(|z| (p+1)) dL e/dz.
 """
 
 from __future__ import annotations
@@ -341,8 +341,8 @@ class Expression:
     the rational view of the same sum, built on first read.  Instances are
     immutable; all arithmetic returns new normalized values, and
     ``from_terms`` is the one place that sums and sorts terms.  ``_memo``
-    fills ``_sweeps`` (left unset here) with derivative sweeps on first use,
-    the way ``Theory`` fills ``_el``.
+    fills ``_sweeps`` (left unset here) with the derivative sweep and the
+    Euler operator on first use.
     """
 
     __slots__ = ("sig", "den", "_nums", "_terms", "_sweeps")
@@ -550,44 +550,36 @@ def _make(sig: Signature, den: int, nums: tuple) -> Expression:
 # public operations
 
 
-def _memo(e: Expression, compute, side: str) -> dict:
-    """``compute(e, side)``, stored on ``e`` for as long as ``e`` lives."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+def _memo(e: Expression, compute) -> dict:
+    """``compute(e)``, stored on ``e`` for as long as ``e`` lives."""
     memo = getattr(e, "_sweeps", None)
     if memo is None:
         memo = {}
         object.__setattr__(e, "_sweeps", memo)
-    value = memo.get((compute, side))
+    value = memo.get(compute)
     if value is None:
-        value = memo[compute, side] = compute(e, side)
+        value = memo[compute] = compute(e)
     return value
 
 
-def _sweep(e: Expression, side: str) -> dict:
-    """One pass over the terms: the graded partial derivative by every atom.
-
-    For an odd atom, side="left" picks up one sign per odd factor standing to
-    its left; side="right" counts odd factors to its right instead.
-    """
-    right = side == "right"
+def _sweep(e: Expression) -> dict:
+    """One pass over the terms: the graded left partial derivative by every
+    atom; an odd atom picks up one sign per odd factor standing to its left."""
     buckets = {}
     for (even, odd), c in e._nums:
         for idx, (a, x) in enumerate(even):
             rest = even[:idx] + ((a, x - 1),) if x != 1 else even[:idx]
             buckets.setdefault(a, []).append(((rest + even[idx + 1:], odd), c * x))
-        last = len(odd) - 1
         for j, a in enumerate(odd):
-            exposed = last - j if right else j
             rest = odd[:j] + odd[j + 1:]
-            buckets.setdefault(a, []).append(((even, rest), -c if exposed % 2 else c))
+            buckets.setdefault(a, []).append(((even, rest), -c if j % 2 else c))
     return {a: Expression.from_terms(e.sig, terms, e.den) for a, terms in buckets.items()}
 
 
-def partial_derivative(e: Expression, c: Atom, side: str = "left") -> Expression:
-    """Graded partial derivative of ``e`` with respect to the atom ``c``: a
-    view of the memoized sweep of ``e`` (see ``_sweep`` for the signs)."""
-    return _memo(e, _sweep, side).get(c) or e.sig.zero()
+def partial_derivative(e: Expression, c: Atom) -> Expression:
+    """Graded left partial derivative of ``e`` with respect to the atom ``c``:
+    a view of the memoized sweep of ``e``."""
+    return _memo(e, _sweep).get(c) or e.sig.zero()
 
 
 def grading_of(e: Expression) -> Grading:

@@ -4,12 +4,12 @@ All functions act on normal-form expressions; the theory-level wrappers in
 ``jetvar.theory`` add the bookkeeping around densities and functionals.
 
 The Euler operator rests on the kernel's sweep (``core._sweep``): a single
-pass over the terms gives every graded partial derivative, and from those of
-the jet atoms come all variational derivatives at once.  The variational
-derivatives are memoized on the expression for as long as it lives, and so
-are the partials of a side that something reads directly (``prolong_apply``
-and ``partial_derivative`` read them); ``variational_derivative`` is a view
-of one component.
+pass over the terms gives every graded left partial derivative, and from those
+of the jet atoms come all left variational derivatives at once.  They are
+memoized on the expression for as long as it lives, and so are the partials
+if something reads them directly (``prolong_apply`` and
+``partial_derivative`` do); ``variational_derivative`` is a view of one
+component.  Right derivatives are signs of these (see ``jetvar.core``).
 
 The divergence test uses the kernel criterion: over a free (graded) jet
 algebra with polynomial base coefficients the variational complex is exact,
@@ -120,12 +120,12 @@ def apply_multi_derivative(e: Expression, mindex: Sequence[int]) -> Expression:
     return e
 
 
-def _euler(e: Expression, side: str) -> dict:
-    """Every variational derivative, keyed by (generator id, component); the
-    partials are kept only if something read them, so others are freed here."""
+def _euler(e: Expression) -> dict:
+    """Every left variational derivative, keyed by (generator id, component);
+    the partials are kept only if something read them."""
     jet = [g.role in JET_ROLES for g in e.sig.generators]
     parts = {}
-    partials = e._sweeps.get((_sweep, side)) or _sweep(e, side)
+    partials = e._sweeps.get(_sweep) or _sweep(e)
     for atom, partial in partials.items():
         if jet[atom.gen]:
             term = apply_multi_derivative(partial, atom.mindex)
@@ -133,20 +133,18 @@ def _euler(e: Expression, side: str) -> dict:
     return {key: Expression.sum(e.sig, terms) for key, terms in parts.items()}
 
 
-def variational_derivative(
-    e: Expression, name: str, comp: Sequence[int] = (), side: str = "left"
-) -> Expression:
-    """Euler-Lagrange derivative of a density with respect to one component.
+def variational_derivative(e: Expression, name: str, comp: Sequence[int] = ()) -> Expression:
+    """Left Euler-Lagrange derivative of a density with respect to one component.
 
     Sum over occurring multi-indices of (-1)^|alpha| D_alpha of the graded
-    partial derivative; ``side`` selects the left or right variant for odd
-    targets.  A view of one component of the memoized Euler operator of ``e``.
+    left partial derivative.  A view of one component of the memoized Euler
+    operator of ``e``.
     """
     sig = e.sig
     gid = sig.generator_id(name)
     if sig.generators[gid].role not in JET_ROLES:
         raise UnknownGeneratorError(f"{name!r} is not a field, ghost, or antifield")
-    return _memo(e, _euler, side).get((gid, tuple(comp)), sig.zero())
+    return _memo(e, _euler).get((gid, tuple(comp)), sig.zero())
 
 
 def prolong_apply(
@@ -163,7 +161,7 @@ def prolong_apply(
     by_id = {(sig.generator_id(n), tuple(c)): q for (n, c), q in characteristics.items()
              if sig.generator(n).role in JET_ROLES}
     parts = []
-    for atom, partial in _memo(e, _sweep, "left").items():
+    for atom, partial in _memo(e, _sweep).items():
         q = by_id.get((atom.gen, atom.comp))
         if q:
             parts.append(apply_multi_derivative(q, atom.mindex) * partial)
@@ -172,10 +170,10 @@ def prolong_apply(
 
 def is_total_divergence(e: Expression) -> bool:
     """True iff every variational derivative of the density vanishes, read
-    from its memoized left Euler operator."""
+    from its memoized Euler operator."""
     if e.sig.nvars == 0:
         raise ZeroVariablesError("the theory declares no independent variables")
-    return not any(_memo(e, _euler, "left").values())
+    return not any(_memo(e, _euler).values())
 
 
 def ibp_equal(e1: Expression, e2: Expression) -> bool:
@@ -229,7 +227,7 @@ def divergence_witness(e: Expression) -> dict:
             break
         r = max(a.order for a in jets)
         top = max(a for a in jets if a.order == r)
-        coeff = partial_derivative(remainder, top, "left")
+        coeff = partial_derivative(remainder, top)
         if top in coeff.atoms() or coeff.max_jet_order() > r - 1:
             raise NotADivergenceError(
                 "top jet coordinate does not enter linearly; no witness exists"

@@ -55,6 +55,7 @@ from .core import (
 )
 from . import jetcalc
 from .errors import (
+    GradingViolationError,
     IndexRangeError,
     MetricDimensionError,
     ParseError,
@@ -689,7 +690,7 @@ class Expander:
                 return value ** exp
             try:
                 return invert_monomial(value ** (-exp))
-            except Exception:
+            except GradingViolationError:
                 raise ParseError(
                     "negative exponents require a parameter monomial", node.line, node.col
                 ) from None

@@ -50,11 +50,11 @@ Component = Tuple[str, tuple]
 class Theory:
     """Independent variables with a metric, generators, and a Lagrangian.
 
-    Immutable.  ``euler_lagrange_system`` fills ``_el`` on first use; threads
-    racing to fill it store equal values, so sharing needs no synchronization.
+    Immutable.  The EL system is read from the Euler operator memoized on the
+    Lagrangian expression, so a theory keeps no cache of its own.
     """
 
-    __slots__ = ("signature", "lagrangian", "_el")
+    __slots__ = ("signature", "lagrangian")
 
     def __init__(self, signature: Signature, lagrangian: Expression):
         if lagrangian.sig != signature:
@@ -65,7 +65,6 @@ class Theory:
             )
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "lagrangian", lagrangian)
-        object.__setattr__(self, "_el", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Theory is immutable")
@@ -267,15 +266,13 @@ class Section:
 def euler_lagrange_system(theory: Theory) -> Dict[Component, Expression]:
     """The full EL system: generators of the Euler-Lagrange ideal.
 
-    Computed once per theory; every call returns a new dict.
+    Every call returns a new dict, read from the Euler operator memoized on
+    the Lagrangian, so that operator is computed once per Lagrangian.
     """
-    if theory._el is None:
-        el = {
-            (name, comp): jetcalc.variational_derivative(theory.lagrangian, name, comp)
-            for name, comp in theory.field_components()
-        }
-        object.__setattr__(theory, "_el", el)
-    return dict(theory._el)
+    return {
+        (name, comp): jetcalc.variational_derivative(theory.lagrangian, name, comp)
+        for name, comp in theory.field_components()
+    }
 
 
 def is_symmetry(theory: Theory, vf: EvolutionaryVF) -> bool:
@@ -313,7 +310,7 @@ def _solve_for_leading(name: str, comp: tuple, el: Expression):
         raise NotSolvableError(
             f"EL for {name}{list(comp)} contains no jet coordinate to solve for"
         )
-    coeff = partial_derivative(el, lead, "left")
+    coeff = partial_derivative(el, lead)
     if lead in coeff.atoms():
         raise NotSolvableError(f"EL for {name}{list(comp)} is nonlinear in its leading coordinate")
     try:
@@ -415,6 +412,8 @@ def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expr
     terms' denominators.
     """
     sig = expr.sig
+    for name in box:
+        sig.var_position(name)  # a bound on anything but a variable is an error
     spans = {}
     for var in sig.variables:
         if var.name not in box:

@@ -13,6 +13,7 @@ from jetvar.bv import (
     brst_apply,
     check_master_equation,
     extend_to_bv,
+    hamiltonian_derivation,
     koszul_tate_apply,
 )
 from jetvar.core import (
@@ -131,6 +132,18 @@ class TestAntibracket:
         mixed = sig.coord("u") + sig.coord("psi")
         with pytest.raises(InhomogeneousExpressionError):
             antibracket_density(playground, mixed, sig.coord("u"))
+        with pytest.raises(InhomogeneousExpressionError):
+            antibracket_density(playground, sig.coord("u"), mixed)
+        # X_F reads right derivatives as signs of left ones, so F must be homogeneous
+        with pytest.raises(InhomogeneousExpressionError):
+            hamiltonian_derivation(playground, mixed, sig.coord("u"))
+        u = sig.coord("u")
+        assert hamiltonian_derivation(playground, u * u, sig.coord("u*")) == u * 2
+
+    def test_zero_f_has_no_characteristics(self, playground):
+        sig = playground.signature
+        assert hamiltonian_derivation(playground, sig.zero(), sig.coord("u*")).is_zero()
+        assert antibracket_density(playground, sig.zero(), sig.coord("u*")).is_zero()
 
     def test_ghost_number_bookkeeping(self):
         bv = builtin("maxwell", dim=2).bv
@@ -228,29 +241,31 @@ class TestAntibracket:
 
 
 def test_el_system_is_computed_once(monkeypatch):
-    calls = []
-    original = jetcalc.variational_derivative
+    computed = []
+    original = jetcalc._euler
 
-    def counted(e, name, comp=(), side="left"):
-        calls.append((name, tuple(comp)))
-        return original(e, name, comp, side)
+    def counted(e):
+        computed.append(e)
+        return original(e)
 
-    monkeypatch.setattr(jetcalc, "variational_derivative", counted)
+    monkeypatch.setattr(jetcalc, "_euler", counted)
     bv = parse_model(model_source("yang_mills_su2", dim=2))
     theory = bv.base
     sig = bv.signature
     assert koszul_tate_apply(bv, sig.coord("C*", (1,)))
     assert noether_residual(theory, bv.gauge[0].operators[(1,)]).is_zero()
-    # one variational derivative per field component, A[1..3, 0..1]
-    assert sorted(calls) == sorted(theory.field_components())
-    assert len(calls) == 6
+    # one Euler operator, of the Lagrangian, for all six components A[1..3, 0..1]
+    assert computed == [theory.lagrangian]
+    assert computed[0] is theory.lagrangian
 
     first = euler_lagrange_system(theory)
+    assert sorted(first) == sorted(theory.field_components())
+    assert len(first) == 6
     snapshot = dict(first)
     first[("A", (1, 0))] = theory.signature.zero()
     first.pop(("A", (2, 1)))
     assert euler_lagrange_system(theory) == snapshot
-    assert len(calls) == 6
+    assert len(computed) == 1
     with pytest.raises(AttributeError):
         theory.lagrangian = theory.lagrangian
 
@@ -259,13 +274,13 @@ def test_master_check_sweeps_each_density_once(monkeypatch):
     sweeps, walks = [], []
     sweep = jetcalc._sweep
 
-    def counted_sweep(e, side):
-        sweeps.append((len(e.terms), side))
-        return sweep(e, side)
+    def counted_sweep(e):
+        sweeps.append(len(e.terms))
+        return sweep(e)
 
-    def counted_walk(e, atom, side="left"):
+    def counted_walk(e, atom):
         walks.append(atom)
-        return core.partial_derivative(e, atom, side)
+        return core.partial_derivative(e, atom)
 
     monkeypatch.setattr(jetcalc, "_sweep", counted_sweep)
     for module in (jetcalc, theory_module):
@@ -274,13 +289,14 @@ def test_master_check_sweeps_each_density_once(monkeypatch):
         bv = builtin("yang_mills_su2", dim=4).bv
         sweeps.clear()
         assert check_master_equation(bv).holds
-        # S (219 terms) once per side, the residual (972 terms) once for its verdict
-        assert sorted(sweeps) == [(219, "left"), (219, "right"), (972, "left")]
+        # S (219 terms) once for both slots of X_S and the pairing, the
+        # residual (972 terms) once for its verdict
+        assert sorted(sweeps) == [219, 972]
         assert walks == []
-    # the sweeps of S live on S, so a repeat sweeps only the new residual
+    # the Euler operator of S lives on S, so a repeat sweeps only the new residual
     sweeps.clear()
     assert check_master_equation(bv).holds
-    assert sweeps == [(972, "left")]
+    assert sweeps == [972]
 
 
 class TestKoszulTate:

@@ -145,6 +145,31 @@ def test_eval():
     assert "value = 4/3" in text
 
 
+_EVAL = ("eval", str(MODELS / "free.jv"), "--section", "u=t^2")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--box", "t=0..1,t=0..2", "--param", "m=2"), (2, "parse error: box bounds 't' twice\n")),
+    (("--box", "t=0..1", "--param", "m=2", "--param", "m=3"),
+     (2, "parse error: parameter 'm' is bound twice\n")),
+    (("--box", "t=0..1,x=0..5", "--param", "m=2"),
+     (3, "error: unknown independent variable 'x'\n")),
+])
+def test_eval_rejects_repeated_and_unknown_bounds(argv, expected):
+    # each used to print a value: the last bound or binding won, an unknown one was ignored
+    assert run(*_EVAL, *argv) == expected
+
+
+def test_internal_fault_while_inverting_a_power_is_not_a_parse_error(monkeypatch, capsys):
+    def broken(e):
+        raise RuntimeError("fault")
+
+    monkeypatch.setattr("jetvar.parser.invert_monomial", broken)
+    code, text = run("divergence", str(MODELS / "free.jv"), "--expr", "m^-1")
+    assert (code, text) == (EXIT_INTERNAL, "")
+    assert capsys.readouterr().err == "internal error: RuntimeError: fault\n"
+
+
 def test_parse_error_exit_code():
     code, text = run("divergence", str(MODELS / "free.jv"), "--expr", "d(u;t")
     assert code == 2
@@ -380,6 +405,9 @@ def test_models_listing_and_emit():
     code, text = run("models", "--emit", "maxwell", "--dim", "3")
     assert code == 0
     assert "vars t, x, y" in text
+    # models prints model files and names, so it takes no --latex
+    code, text = run("models", "--latex")
+    assert (code, text) == (2, "")
 
 
 def test_latex_flag():

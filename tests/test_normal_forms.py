@@ -1,20 +1,26 @@
 """Golden normal forms: sha256 digests of the plain-printed Lagrangian, EL
 system, ``extend_to_bv`` action and master residual of every builtin at each
-dimension it supports.  A change to the kernel's coefficient arithmetic, the
-term order or the printer that moves any normal form fails here.  The digests
-were recorded with the ``Fraction``-coefficient kernel that preceded the
-integer-numerator layout."""
+dimension it supports, and of its bracket outputs (BRST, Koszul-Tate and the
+antibracket with an even and an odd F).  A change to the kernel's coefficient
+arithmetic, the term order, the printer or a Koszul sign that moves any
+normal form fails here.  The first digests were recorded with the
+``Fraction``-coefficient kernel that preceded the integer-numerator layout,
+the bracket digests with the two-sided derivative stack that preceded the
+one-sided one."""
 
 import hashlib
 
 import pytest
 
 from jetvar import (
+    antibracket_density,
+    brst_apply,
     builtin,
     check_master_equation,
     euler_lagrange_system,
     extend_to_bv,
     format_expression,
+    koszul_tate_apply,
 )
 
 # (model, dim) -> digests of (lagrangian, EL system, extend_to_bv action, master residual)
@@ -106,3 +112,126 @@ def normal_forms(name, dim):
 def test_normal_forms_are_unchanged(name, dim):
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in normal_forms(name, dim))
     assert digests == GOLDEN[name, dim]
+
+
+def bracket_outputs(name, dim):
+    """Plain-printed brackets on small expressions in the first field
+    component phi, its antifield phi* and, where the model has one, the first
+    ghost component c and its antifield c*; every jet is a t-derivative."""
+    bv = builtin(name, dim=dim).bv
+    sig = bv.signature
+    t = sig.variables[0].name
+    first = {}
+    for _, gen in sig.jet_generators():
+        first.setdefault(gen.role, (gen.name, gen.components()[0]))
+    field, comp = first["field"]
+    phi, phi_t = sig.coord(field, comp), sig.coord(field, comp, d=(t,))
+    star, star_t = sig.coord(field + "*", comp), sig.coord(field + "*", comp, d=(t,))
+    ghost_expr = None
+    # odd of ghost number -1 and even of ghost number -2
+    odd_f = phi * phi * star_t
+    even_f = phi * star * star_t
+    antifield_expr = phi * star_t
+    if "ghost" in first:
+        ghost, gcomp = first["ghost"]
+        c, c_t = sig.coord(ghost, gcomp), sig.coord(ghost, gcomp, d=(t,))
+        cstar = sig.coord(ghost + "*", gcomp)
+        ghost_expr = c * c_t
+        odd_f = odd_f + c * star * star_t
+        even_f = even_f + phi * cstar
+        antifield_expr = antifield_expr + c * cstar
+    s = bv.master_action
+    outputs = {
+        "brst field": brst_apply(bv, phi * phi_t * phi_t),
+        "kt antifield": koszul_tate_apply(bv, antifield_expr),
+        "bracket even": antibracket_density(bv, even_f, s),
+        "bracket odd": antibracket_density(bv, odd_f, s),
+    }
+    if ghost_expr is not None:
+        outputs["brst ghost"] = brst_apply(bv, ghost_expr)
+    return {label: format_expression(e) for label, e in outputs.items()}
+
+
+# (model, dim) -> digest of each output of bracket_outputs, recorded at the parent
+# of the one-sided derivative stack
+BRACKET_GOLDEN = {
+    ("free_particle", None): {
+        "bracket even": "9e9e02eff78791b32d70315d103d5a5f7aef82af754a2b1d279d4fbdf3c81e3f",
+        "bracket odd": "7b1d11b58ae7b080a3b8c16e68da953620351337d431189cacaa252eb819eadf",
+        "brst field": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "kt antifield": "f8c58a03450e3c3fc2fc1da2f1b2c3a42e2a8d275c9fb0a61cbca91e9534042b",
+    },
+    ("maxwell", 2): {
+        "bracket even": "6130dd3dcc33a8fd8aa94764f43686f845d3bb67f8d17ed47a21bd18b7afd9dd",
+        "bracket odd": "00431c13e6481e822536e42d73829b92e740dedb407fcf9e44bd477cc113b240",
+        "brst field": "15fa2e7acaa1fc8114b72664962cf6d3c8355aee519dde8f81eec2a80ec25f22",
+        "brst ghost": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "kt antifield": "a662edd5cbc17dd20c7c17c592198cba97a2efe5edf21d69c77e2b7bd9e329f4",
+    },
+    ("maxwell", 3): {
+        "bracket even": "74eaedbcd411423b5658196872feaedfb36e3bcd6bf5887da365f1899c4b1600",
+        "bracket odd": "334e0a0bf7b583368a9c0e2f84e9a620d87a5c31dda5c2536025e07a16678ade",
+        "brst field": "15fa2e7acaa1fc8114b72664962cf6d3c8355aee519dde8f81eec2a80ec25f22",
+        "brst ghost": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "kt antifield": "882e14934d140d385ca619a721dfe6854d096a3c0317773f312f9d2c14f831a4",
+    },
+    ("maxwell", 4): {
+        "bracket even": "9dab2739e3325bbd9b7910f1bfe37cd97ea841050cb11814af6c04d143cf0809",
+        "bracket odd": "7c530705c81aeec7811be53d74e069ca4621db2e59491575397c2546697f5b3c",
+        "brst field": "15fa2e7acaa1fc8114b72664962cf6d3c8355aee519dde8f81eec2a80ec25f22",
+        "brst ghost": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "kt antifield": "900206ae8b81ac250eed98ccc1e43c52bc2c3c8b640ed13137626daaf5fa1c04",
+    },
+    ("scalar_phi4", 1): {
+        "bracket even": "14c0e5d048640663e69634d9cf785cf9d578ae2d1d77297e62b966fc2c8ff0a5",
+        "bracket odd": "58ebaa89d2a08d1566b656b8dd2bce96ecca2802f511c19852e10aa17efc4319",
+        "brst field": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "kt antifield": "9a2eb412da10da8ebe669f47561a5896b76fbc54776e74504bfdc4d66d494a4c",
+    },
+    ("scalar_phi4", 2): {
+        "bracket even": "61a8a793adb97ef3dd3b655a7e6b5dbd4eec125d972f1230f9799b6f531b3598",
+        "bracket odd": "c50157cfe94f341cf832e86b32b74f2fba27a953a4f23de294d94012b16ef239",
+        "brst field": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "kt antifield": "ea9c18e7525f046a80584d218125d317d959eadef756b14a206bf85d0af7803f",
+    },
+    ("scalar_phi4", 3): {
+        "bracket even": "9d40d0115e8b47a7c3cc60262eecd62da7c6678a63eb7c3c56e8e531ba66d821",
+        "bracket odd": "dafc8efcdfb7b781ee400f72091c1fccfaf3a1bd8942e21521597345a97a48f4",
+        "brst field": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "kt antifield": "575926e486565418c115bb9b656d8d4d759334c182f66faef9c65739f00477d3",
+    },
+    ("scalar_phi4", 4): {
+        "bracket even": "54ebdf94afff8e54bdb83dcc7a99c1a342626365326a69374c5c81b795c25078",
+        "bracket odd": "e53608a6cacf2075a0fb0216040e58d6606b73efad87860b79dfb97fd01f6796",
+        "brst field": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "kt antifield": "925426b4e71c713d89c5d18d384b295918899395a0c0b4acf6708da5eff06d9f",
+    },
+    ("yang_mills_su2", 2): {
+        "bracket even": "b96f748e7981789722f2af54d1b0e55eee03ba0058daec0bea1de4e56e580079",
+        "bracket odd": "ad8f8a9747d29f30cd9b0e66db7e0f2dee720d069e95bfa3866f6160b76f9f3c",
+        "brst field": "754ed68edfde1c0bd052bd6c7c751bbb69b0c160227752549efc6bcbd0e0de55",
+        "brst ghost": "2f5d7458ab6ee850e580fbb033e95280ad7851cbae0857c27f041f59ffe74bcc",
+        "kt antifield": "807b0fafea9c18f5666600cf9f004ed41a26597c2579a52f9d2245c09e48cb5c",
+    },
+    ("yang_mills_su2", 3): {
+        "bracket even": "e916992f725fa4e00fd447b09580a0a3a1453ba472e437073ec03adb881a79d3",
+        "bracket odd": "65c32a189ebd39dae6a481ab233d5d525962b624d9caec568d696f8e5ac2cb3a",
+        "brst field": "754ed68edfde1c0bd052bd6c7c751bbb69b0c160227752549efc6bcbd0e0de55",
+        "brst ghost": "2f5d7458ab6ee850e580fbb033e95280ad7851cbae0857c27f041f59ffe74bcc",
+        "kt antifield": "337e84f3abb95af9a4bd7352db0f727ea01649c3e13a0feb407c94e3b95e8089",
+    },
+    ("yang_mills_su2", 4): {
+        "bracket even": "0367d8f15effaa44608532a13dd36360b8b940a1bcd8946fb83fdf9993ca9cb8",
+        "bracket odd": "9f4713bca8abda9e951548776ec9984c207ac78c7388c275e87c31a4c158b2f3",
+        "brst field": "754ed68edfde1c0bd052bd6c7c751bbb69b0c160227752549efc6bcbd0e0de55",
+        "brst ghost": "2f5d7458ab6ee850e580fbb033e95280ad7851cbae0857c27f041f59ffe74bcc",
+        "kt antifield": "4b44c147e671da3c219581fc9323a0e5786564921484c694b6710f4592c3609e",
+    },
+}
+
+
+@pytest.mark.parametrize("name, dim", sorted(BRACKET_GOLDEN, key=str))
+def test_bracket_outputs_are_unchanged(name, dim):
+    digests = {label: hashlib.sha256(text.encode()).hexdigest()
+               for label, text in bracket_outputs(name, dim).items()}
+    assert digests == BRACKET_GOLDEN[name, dim]

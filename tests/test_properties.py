@@ -3,9 +3,10 @@ invariant, substitution and powers, of its product against a reference
 product and the graded laws, of the normal form of every kernel result, of
 the evolutionary derivation behind prolongations, d_KT and X_F, of the
 memoized derivative sweep behind partial derivatives and the Euler operator,
-of the antibracket and the divergence verdict against their direct
-formulas, of the printer/parser round trip, and of gauge operators read back
-from their printed form."""
+of right derivatives against a reference walk, of the antibracket and the
+divergence verdict against their direct formulas, of the antibracket's graded
+antisymmetry and Leibniz rule modulo divergences, of the printer/parser round
+trip, and of gauge operators read back from their printed form."""
 
 import functools
 import math
@@ -24,6 +25,7 @@ from jetvar.bv import (  # noqa: E402
     antifield_component,
     antifield_grading,
     antifield_name,
+    hamiltonian_derivation,
 )
 from jetvar.core import (  # noqa: E402
     ANTIFIELD,
@@ -40,6 +42,7 @@ from jetvar.core import (  # noqa: E402
     Signature,
     homogeneous_components,
     invert_monomial,
+    parity_ghost_of,
     partial_derivative,
     substitute,
 )
@@ -309,8 +312,7 @@ def test_every_result_is_in_normal_form(n, data):
                                 unique=True, max_size=3))
     _assert_normal(substitute(a, {c: data.draw(replacements(sig, c)) for c in chosen}))
     for c in a.atoms():
-        for side in ("left", "right"):
-            _assert_normal(partial_derivative(a, c, side))
+        _assert_normal(partial_derivative(a, c))
     _assert_normal(a ** data.draw(st.integers(0, 3)))
     _assert_normal(jetcalc.total_derivative(a, data.draw(st.integers(0, n - 1))))
 
@@ -386,7 +388,9 @@ def test_derivation_obeys_graded_leibniz(n, data):
 
 def _partial_reference(e: Expression, c, side: str) -> Expression:
     """The graded partial derivative by one atom, one walk over the terms:
-    for an odd ``c``, one sign per odd factor on the chosen side of it."""
+    for an odd ``c``, one sign per odd factor on the chosen side of it.  The
+    library takes left derivatives only; ``side="right"`` is the independent
+    reference that the right-derivative laws below check it against."""
     parity = e.sig.atom_grading(c).parity
     out = []
     for m in e.terms:
@@ -415,7 +419,9 @@ def _euler_reference(e: Expression, gid: int, comp: tuple, side: str) -> Express
     return Expression.sum(e.sig, parts)
 
 
-# each law takes both sides of one expression, so the two memos must not mix
+def _right_sign(e: Expression, gen_parity: int) -> int:
+    """(-1)^(|z| (|e| + 1)): dR e/dz over dL e/dz for e homogeneous of parity |e|."""
+    return -1 if gen_parity * (core.grading_of(e).parity + 1) % 2 else 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -427,15 +433,19 @@ def test_sweep_partials_equal_partial_derivative(n, data):
     if data.draw(st.booleans()):
         # a Laurent factor: the parameter with a negative exponent
         e = e * invert_monomial(sig.from_atom(sig.atom("m")) ** data.draw(st.integers(1, 2)))
-    for side in ("left", "right"):
-        partials = core._memo(e, core._sweep, side)
-        # every atom, parameters and variables included
-        assert set(partials) == e.atoms()
-        for a in e.atoms() | {data.draw(atoms(sig))}:
-            expected = _partial_reference(e, a, side)
-            assert partials.get(a, sig.zero()) == expected, (a, side)
-            assert partial_derivative(e, a, side) == expected, (a, side)
-            _assert_normal(expected)
+    partials = core._memo(e, core._sweep)
+    # every atom, parameters and variables included
+    assert set(partials) == e.atoms()
+    for a in e.atoms() | {data.draw(atoms(sig))}:
+        expected = _partial_reference(e, a, "left")
+        assert partials.get(a, sig.zero()) == expected, a
+        assert partial_derivative(e, a) == expected, a
+        _assert_normal(expected)
+    # right partials of each homogeneous part are signed left ones
+    for part in homogeneous_components(e).values():
+        for a in part.atoms():
+            sign = _right_sign(part, sig.atom_grading(a).parity)
+            assert _partial_reference(part, a, "right") == partial_derivative(part, a) * sign, a
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -444,14 +454,20 @@ def test_sweep_partials_equal_partial_derivative(n, data):
 def test_euler_components_equal_the_per_atom_definition(n, data):
     sig = BV_SIGS[n]
     e = data.draw(expressions(sig, max_terms=5))
-    for side in ("left", "right"):
-        euler = jetcalc._memo(e, jetcalc._euler, side)
-        assert set(euler) == {(a.gen, a.comp) for a in e.jet_atoms()}
-        for gid, gen in sig.jet_generators():
-            for comp in gen.components():
-                expected = _euler_reference(e, gid, comp, side)
-                assert jetcalc.variational_derivative(e, gen.name, comp, side) == expected
-                assert euler.get((gid, comp), sig.zero()) == expected
+    euler = jetcalc._memo(e, jetcalc._euler)
+    assert set(euler) == {(a.gen, a.comp) for a in e.jet_atoms()}
+    for gid, gen in sig.jet_generators():
+        for comp in gen.components():
+            expected = _euler_reference(e, gid, comp, "left")
+            assert jetcalc.variational_derivative(e, gen.name, comp) == expected
+            assert euler.get((gid, comp), sig.zero()) == expected
+    # right variational derivatives of each homogeneous part are signed left ones
+    for part in homogeneous_components(e).values():
+        for gid, comp in {(a.gen, a.comp) for a in part.jet_atoms()}:
+            gen = sig.generators[gid]
+            left = jetcalc.variational_derivative(part, gen.name, comp)
+            sign = _right_sign(part, gen.grading.parity)
+            assert _euler_reference(part, gid, comp, "right") == left * sign
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -471,8 +487,9 @@ def test_total_derivatives_commute(n, data):
 def test_euler_operator_kills_total_derivatives(n, data):
     e = data.draw(expressions(BV_SIGS[n], max_terms=5))
     divergence = jetcalc.total_derivative(e, data.draw(st.integers(0, n - 1)))
-    for side in ("left", "right"):
-        assert not any(jetcalc._memo(divergence, jetcalc._euler, side).values())
+    assert not any(jetcalc._memo(divergence, jetcalc._euler).values())
+    for gid, comp in {(a.gen, a.comp) for a in divergence.jet_atoms()}:
+        assert not _euler_reference(divergence, gid, comp, "right")
     assert jetcalc.is_total_divergence(divergence)
 
 
@@ -496,16 +513,18 @@ FULL_BVS = {n: _full_bv(n) for n in (1, 2)}
 
 def _pair_formula(bv: BVExtension, f: Expression, g: Expression) -> Expression:
     """The antibracket as the two-term sum over generator pairs, computed
-    directly from the four variational derivatives."""
+    directly from the four variational derivatives, the right ones of f from
+    the reference walk."""
     vd = jetcalc.variational_derivative
+    sig = f.sig
     parts = []
     for (name, comp), (star, _) in bv.pairs():
-        rf_phi = vd(f, name, comp, side="right")
-        lg_star = vd(g, star, comp, side="left")
+        rf_phi = _euler_reference(f, sig.generator_id(name), comp, "right")
+        lg_star = vd(g, star, comp)
         if rf_phi and lg_star:
             parts.append(rf_phi * lg_star)
-        rf_star = vd(f, star, comp, side="right")
-        lg_phi = vd(g, name, comp, side="left")
+        rf_star = _euler_reference(f, sig.generator_id(star), comp, "right")
+        lg_phi = vd(g, name, comp)
         if rf_star and lg_phi:
             parts.append(-(rf_star * lg_phi))
     return Expression.sum(f.sig, parts)
@@ -531,21 +550,39 @@ def homogeneous(draw, sig, max_terms=2):
 
 
 @st.composite
-def bracket_operands(draw, bv):
+def first_jet_monomials(draw, sig, max_factors=2):
+    """A coefficient times up to ``max_factors`` jet atoms with at most one
+    derivative each: homogeneous, and low enough in order that X_F of it
+    stays small."""
+    jets = [gen for _, gen in sig.jet_generators()]
+    term = sig.const(draw(coefficients))
+    for _ in range(draw(st.integers(0, max_factors))):
+        gen = draw(st.sampled_from(jets))
+        comp = tuple(draw(st.integers(lo, hi)) for lo, hi in gen.index_ranges)
+        d = draw(st.sampled_from([()] + [(v.name,) for v in sig.variables]))
+        term = term * sig.coord(gen.name, comp, d)
+    return term
+
+
+@st.composite
+def bracket_operands(draw, bv, small=False):
     """Homogeneous F and G, one a multiple of a field or ghost component and
     the other of its antifield, so that the bracket is rarely zero; each
-    carries one more jet factor, of either parity."""
+    carries one more jet factor, of either parity, or with ``small`` a
+    first-jet monomial instead."""
     sig = bv.signature
     jet = [gen.name for _, gen in sig.jet_generators()]
     ends = list(draw(st.sampled_from(bv.pairs())))
     if draw(st.booleans()):
         ends.reverse()
-    return [
-        sig.from_atom(sig.atom(name, comp))
-        * sig.from_atom(draw(atoms(sig, jet)))
-        * (draw(homogeneous(sig)) or sig.one())
-        for name, comp in ends
-    ]
+    out = []
+    for name, comp in ends:
+        if small:
+            extra = draw(first_jet_monomials(sig))
+        else:
+            extra = sig.from_atom(draw(atoms(sig, jet))) * (draw(homogeneous(sig)) or sig.one())
+        out.append(sig.from_atom(sig.atom(name, comp)) * extra)
+    return out
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -555,6 +592,38 @@ def test_antibracket_equals_the_pair_formula(n, data):
     bv = FULL_BVS[n]
     f, g = data.draw(bracket_operands(bv))
     assert antibracket_density(bv, f, g) == _pair_formula(bv, f, g)
+
+
+def _parity(e: Expression) -> int:
+    return parity_ghost_of(e)[0] if e else 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_antibracket_is_graded_antisymmetric(n, data):
+    # (F, G) = -(-1)^((|F|+1)(|G|+1)) (G, F) modulo divergences
+    bv = FULL_BVS[n]
+    f, g = data.draw(bracket_operands(bv))
+    sign = -1 if (_parity(f) + 1) * (_parity(g) + 1) % 2 else 1
+    assert jetcalc.ibp_equal(antibracket_density(bv, f, g),
+                             antibracket_density(bv, g, f) * -sign)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_antibracket_obeys_leibniz_through_x_f(n, data):
+    # (F, G*H) = X_F(G)*H + (-1)^((|F|+1)|G|) G*X_F(H) modulo divergences, and
+    # X_F(G) = (F, G) modulo divergences
+    bv = FULL_BVS[n]
+    sig = bv.signature
+    f, g = data.draw(bracket_operands(bv, small=True))
+    h = data.draw(first_jet_monomials(sig, max_factors=3))
+    x_g, x_h = hamiltonian_derivation(bv, f, g), hamiltonian_derivation(bv, f, h)
+    sign = -1 if (_parity(f) + 1) * _parity(g) % 2 else 1
+    assert jetcalc.ibp_equal(antibracket_density(bv, f, g * h), x_g * h + g * x_h * sign)
+    assert jetcalc.ibp_equal(x_g, antibracket_density(bv, f, g))
 
 
 @pytest.mark.parametrize("n", [1, 2])

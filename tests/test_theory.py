@@ -256,6 +256,16 @@ class TestIntegrateOnBox:
         )
         assert value == 0
 
+    def test_box_bounds_only_variables(self, mech):
+        sig = mech.signature
+        section = Section(mech, {("u", ()): sig.coord("t") ** 2})
+        functional = mech.functional(mech.lagrangian)
+        for box in ({"t": (0, 1), "x": (0, 5)}, {"t": (0, 1), "m": (0, 1)}):
+            with pytest.raises(UnknownGeneratorError, match="unknown independent variable"):
+                integrate_on_box(functional, section, box, params={"m": 2})
+        with pytest.raises(UnknownGeneratorError, match="does not bound variable 't'"):
+            integrate_on_box(functional, section, {}, params={"m": 2})
+
     def test_unbound_parameter(self, mech):
         sig = mech.signature
         section = Section(mech, {("u", ()): sig.coord("t")})
