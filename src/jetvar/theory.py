@@ -5,6 +5,13 @@ plain ``Expression`` over the theory's signature; ``LocalFunctional(theory,
 expr)`` is a density taken modulo total divergences, which is exactly how the
 Euler-Lagrange system, symmetry checks, and the evaluation pairing treat
 them.
+
+A density is evaluated exactly on a polynomial section: ``evaluate_density``
+multiplies the images of its jets with the variables' exponents packed into
+one int per term (its own representation, unpacked once into a normal-form
+``Expression``), ``integrate_box_polynomial`` integrates the result over a
+rational box, and ``integrate_on_box`` evaluates that at the bound
+parameters.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .core import (
     Signature,
     VAR,
     _make,
+    _merge_even,
     grading_of,
     invert_monomial,
     is_homogeneous_of,
@@ -32,6 +40,7 @@ from .core import (
 )
 from . import jetcalc
 from .errors import (
+    DomainError,
     GeneratorMismatchError,
     GradingViolationError,
     MissingCharacteristicError,
@@ -389,9 +398,24 @@ def _check_evaluable(expr: Expression):
 
 
 def evaluate_density(density_expr: Expression, section: Section) -> Expression:
-    """Substitute the jets of a section into a density."""
+    """Substitute the jets of a section into a density.
+
+    The images ``D_alpha(value)`` come from ``jetcalc.apply_multi_derivative``.
+    They are multiplied in a packed form private to this function: a term is
+    ``(packed, params) -> numerator``, where ``packed`` holds the exponent k
+    of the i-th base variable as ``k * base**i`` and ``params`` is the sorted
+    tuple of parameter factors (Laurent exponents allowed), so a product adds
+    packed ints and merges parameter tuples.  ``base`` is 1 plus a bound on
+    the degree of any monomial's image (each factor's exponent times its
+    image's total degree), so no exponent carries into the next variable.
+    As in ``substitute``, each factor's power is built once, monomials share
+    the products of their leading factors through a trie, and a monomial with
+    an odd factor, or a zero prefix product, contributes nothing: a section
+    is zero on every odd field.  The products are summed over the lcm of
+    their denominators and unpacked once into a normal-form expression.
+    """
     sig = density_expr.sig
-    bindings = {}
+    images = {}
     for atom in density_expr.jet_atoms():
         gen = sig.generators[atom.gen]
         if gen.role != FIELD:
@@ -399,8 +423,106 @@ def evaluate_density(density_expr: Expression, section: Section) -> Expression:
                 f"cannot evaluate {gen.role} coordinate {gen.name!r} on a section"
             )
         poly = section.value(gen.name, atom.comp)
-        bindings[atom] = jetcalc.apply_multi_derivative(poly, atom.mindex)
-    return substitute(density_expr, bindings)
+        images[atom] = jetcalc.apply_multi_derivative(poly, atom.mindex)
+    # every component is looked up before any grading is checked, as in substitute
+    for atom, img in images.items():
+        grading = sig.atom_grading(atom)
+        if img and grading != EVEN_GRADING:
+            raise GradingViolationError(
+                f"replacement for atom of grading {grading} is not homogeneous of that grading"
+            )
+
+    var_atoms = [sig.atom(v.name) for v in sig.variables]
+    position = {a.gen: i for i, a in enumerate(var_atoms)}
+    # total degree in the variables of each factor's image; a parameter's is 0
+    degree = {a: 1 for a in var_atoms}
+    for atom, img in images.items():
+        degree[atom] = max((sum(x for a, x in even if a.gen in position)
+                            for (even, _), _ in img._nums), default=0)
+    bound = max((sum(x * degree.get(a, 0) for a, x in even)
+                 for (even, odd), _ in density_expr._nums if not odd), default=0)
+    base = bound + 1
+
+    def pack(img: Expression):
+        terms = []
+        for (even, _), n in img._nums:
+            packed = 0
+            params = []
+            for a, x in even:
+                if a.gen in position:
+                    packed += x * base ** position[a.gen]
+                else:
+                    params.append((a, x))
+            terms.append(((packed, tuple(params)), n))
+        return tuple(terms), img.den
+
+    packed_images = {atom: pack(img) for atom, img in images.items()}
+    powers = {}
+
+    def power(factor):
+        f = powers.get(factor)
+        if f is None:
+            a, x = factor
+            if a in packed_images:
+                f = img = packed_images[a]
+                for _ in range(x - 1):
+                    f = _packed_mul(f, img)
+            elif a.gen in position:
+                f = ((((x * base ** position[a.gen], ()), 1),), 1)
+            else:  # a parameter, possibly with a negative exponent
+                f = ((((0, (factor,)), 1),), 1)
+            powers[factor] = f
+        return f
+
+    # trie of leading factors: factor -> (product of the prefix, child trie)
+    root = {}
+    one = ((((0, ()), 1),), 1)
+    products = []  # (numerator of the monomial, packed image of its factors)
+    for (even, odd), c in density_expr._nums:
+        if odd:
+            continue
+        node, product = root, one
+        for factor in even:
+            entry = node.get(factor)
+            if entry is None:
+                f = power(factor)
+                entry = node[factor] = (f if node is root else _packed_mul(product, f), {})
+            product, node = entry
+            if not product[0]:
+                break
+        else:
+            products.append((c, product))
+    den = math.lcm(*[d for _, (_, d) in products])
+    acc = {}
+    get = acc.get
+    for c, (terms, d) in products:
+        scale = c * (den // d)
+        for key, n in terms:
+            acc[key] = get(key, 0) + scale * n
+    out = []
+    for (packed, params), n in acc.items():
+        if n:
+            factors = list(params)
+            for a in var_atoms:
+                packed, x = divmod(packed, base)
+                if x:
+                    factors.append((a, x))
+            if params:
+                factors.sort()
+            out.append(((tuple(factors), ()), n))
+    return Expression.from_terms(sig, out, density_expr.den * den)
+
+
+def _packed_mul(f, g):
+    """Product of two packed polynomials of ``evaluate_density``."""
+    acc = {}
+    get = acc.get
+    right = g[0]
+    for (p1, q1), n1 in f[0]:
+        for (p2, q2), n2 in right:
+            key = (p1 + p2, _merge_even(q1, q2))
+            acc[key] = get(key, 0) + n1 * n2
+    return tuple(item for item in acc.items() if item[1]), f[1] * g[1]
 
 
 def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expression:
@@ -472,7 +594,13 @@ def integrate_on_box(
     box: Mapping[str, tuple],
     params: Optional[Mapping[str, Fraction]] = None,
 ) -> Fraction:
-    """Exact rational value of a functional on a polynomial section over a box."""
+    """Exact rational value of a functional on a polynomial section over a box.
+
+    A bound parameter may occur with a negative exponent unless it is bound
+    to 0: ``substitute`` binds nonnegative powers only, so the value is first
+    multiplied by ``m**k`` for each bound ``m`` whose lowest exponent is
+    ``-k``, and the result divided by ``v**k``.
+    """
     value = integrate_on_box_expression(functional, section, box)
     if params:
         sig = value.sig
@@ -482,6 +610,24 @@ def integrate_on_box(
             if sig.generators[gid].role != PARAM:
                 raise UnknownGeneratorError(f"{name!r} is not a parameter")
             bindings[sig.atom(name)] = sig.const(Fraction(v))
+        lowest = {}
+        for (even, _), _ in value._nums:
+            for a, x in even:
+                if a in bindings and x < lowest.get(a, 0):
+                    lowest[a] = x
+        if lowest:
+            clear = tuple((a, -x) for a, x in sorted(lowest.items()))
+            scale = Fraction(1)
+            for a, k in clear:
+                v = bindings[a].constant_value()
+                if not v:
+                    raise DomainError(
+                        f"parameter {sig.generators[a.gen].name!r} is bound to 0 "
+                        "but occurs with a negative exponent"
+                    )
+                scale /= v ** k
+            value = value * Expression.from_terms(
+                sig, [((clear, ()), scale.numerator)], scale.denominator)
         value = substitute(value, bindings)
     try:
         return value.constant_value()

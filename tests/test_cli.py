@@ -160,6 +160,26 @@ def test_eval_rejects_repeated_and_unknown_bounds(argv, expected):
     assert run(*_EVAL, *argv) == expected
 
 
+LAURENT = """vars t
+params m
+field u
+lagrangian 1/2 * m^-1 * d(u;t)^2
+"""
+
+
+@pytest.mark.parametrize("m, expected", [
+    ("2", (0, "value = 1/3\n")),
+    ("0", (3, "error: parameter 'm' is bound to 0 but occurs with a negative exponent\n")),
+])
+def test_eval_binds_a_laurent_parameter(tmp_path, m, expected):
+    # m^-1 used to stop every binding: "cannot substitute a parameter occurring
+    # with a negative exponent" (exit 3)
+    model = tmp_path / "laurent.jv"
+    model.write_text(LAURENT)
+    argv = ("eval", str(model), "--section", "u=t^2", "--box", "t=0..1", "--param", f"m={m}")
+    assert run(*argv) == expected
+
+
 def test_internal_fault_while_inverting_a_power_is_not_a_parse_error(monkeypatch, capsys):
     def broken(e):
         raise RuntimeError("fault")

@@ -1,14 +1,19 @@
 """Golden normal forms: sha256 digests of the plain-printed Lagrangian, EL
 system, ``extend_to_bv`` action and master residual of every builtin at each
-dimension it supports, and of its bracket outputs (BRST, Koszul-Tate and the
-antibracket with an even and an odd F).  A change to the kernel's coefficient
-arithmetic, the term order, the printer or a Koszul sign that moves any
-normal form fails here.  The first digests were recorded with the
-``Fraction``-coefficient kernel that preceded the integer-numerator layout,
-the bracket digests with the two-sided derivative stack that preceded the
-one-sided one."""
+dimension it supports, of its bracket outputs (BRST, Koszul-Tate and the
+antibracket with an even and an odd F), and of the exact integral of its
+Lagrangian on a seeded section over a rational box.  A change to the
+kernel's coefficient arithmetic, the term order, the printer, a Koszul sign
+or the evaluation on sections that moves any normal form fails here.  The
+first digests were recorded with the ``Fraction``-coefficient kernel that
+preceded the integer-numerator layout, the bracket digests with the
+two-sided derivative stack that preceded the one-sided one, and the
+box-integral digests with the ``substitute``-based evaluation of densities
+that preceded the packed-exponent one."""
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +27,8 @@ from jetvar import (
     format_expression,
     koszul_tate_apply,
 )
+from jetvar.core import PARAM, Expression
+from jetvar.theory import Section, integrate_on_box_expression
 
 # (model, dim) -> digests of (lagrangian, EL system, extend_to_bv action, master residual)
 GOLDEN = {
@@ -235,3 +242,50 @@ def test_bracket_outputs_are_unchanged(name, dim):
     digests = {label: hashlib.sha256(text.encode()).hexdigest()
                for label, text in bracket_outputs(name, dim).items()}
     assert digests == BRACKET_GOLDEN[name, dim]
+
+
+def box_integral(name, dim):
+    """Plain-printed exact integral of the Lagrangian on a seeded section:
+    per field component, three terms of a rational times up to two factors
+    drawn from the variables and parameters, over the box whose i-th
+    variable runs from -1/(i+2) to (i+3)/2."""
+    theory = builtin(name, dim=dim).theory
+    sig = theory.signature
+    rng = random.Random(15)
+    letters = [g.name for g in sig.generators if g.role == PARAM] + [
+        v.name for v in sig.variables]
+    values = {}
+    for key in theory.field_components():
+        terms = []
+        for _ in range(3):
+            term = sig.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 2)):
+                term = term * sig.coord(rng.choice(letters))
+            terms.append(term)
+        values[key] = Expression.sum(sig, terms)
+    box = {v.name: (Fraction(-1, i + 2), Fraction(i + 3, 2))
+           for i, v in enumerate(sig.variables)}
+    return format_expression(integrate_on_box_expression(theory.lagrangian,
+                                                         Section(theory, values), box))
+
+
+# (model, dim) -> digest of box_integral, recorded with the substitute-based evaluator
+BOX_GOLDEN = {
+    ("free_particle", None): "b67509ef654f2bdb4b2ae59d8512db834af4dd963f78c5dc9f73de8bf94e3d90",
+    ("maxwell", 2): "71b9a2be7d57fe8b854e8439a182706d378c9187b9d0f5eabde107ce85c264a2",
+    ("maxwell", 3): "832c8c824fab9d3a3b598484402c8bc9f7267c2e7567d7e72464dcef68979aaa",
+    ("maxwell", 4): "f60da497b6ae4d9f3b68d655110ce60ee34384ee5cb83990706aec527324c08c",
+    ("scalar_phi4", 1): "d01199f0f75dc3efb594c3f5621b29255ac06c96527efbff4e4abd11d48a0cea",
+    ("scalar_phi4", 2): "4367df860c6124730a5505a061931bdff679db8edafcae5cace8127a6fdd9517",
+    ("scalar_phi4", 3): "477e57e0a7e01e8b5a4e1ba4ec2848fb04de689afebe18056fa3fd60cf4fe71f",
+    ("scalar_phi4", 4): "2c8f0f3bd7a91b97d35c9f735fb70649a67dff08d97db906392f90894572ce19",
+    ("yang_mills_su2", 2): "30a2ab769ed2e88ea3c939c67792c4a747424bdd1ea2c85793221d2b5c4046ea",
+    ("yang_mills_su2", 3): "f0d8b5e4061d16f1efe47c73c6541e37de92f4d6bb664fc1228ff697a7e1ac6a",
+    ("yang_mills_su2", 4): "765d2d2adff27a228c914cac03eb115c6bc946852b4fd1930718b59acd2f353a",
+}
+
+
+@pytest.mark.parametrize("name, dim", sorted(BOX_GOLDEN, key=str))
+def test_box_integrals_are_unchanged(name, dim):
+    digest = hashlib.sha256(box_integral(name, dim).encode()).hexdigest()
+    assert digest == BOX_GOLDEN[name, dim]

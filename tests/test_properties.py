@@ -5,7 +5,8 @@ the evolutionary derivation behind prolongations, d_KT and X_F, of the
 memoized derivative sweep behind partial derivatives and the Euler operator,
 of right derivatives against a reference walk, of the antibracket and the
 divergence verdict against their direct formulas, of the antibracket's graded
-antisymmetry and Leibniz rule modulo divergences, of the printer/parser round
+antisymmetry and Leibniz rule modulo divergences, of the packed evaluation
+of densities on sections against substitution, of the printer/parser round
 trip, and of gauge operators read back from their printed form."""
 
 import functools
@@ -49,7 +50,13 @@ from jetvar.core import (  # noqa: E402
 from jetvar.errors import GeneratorMismatchError, GradingViolationError  # noqa: E402
 from jetvar.parser import parse_expression, parse_operator  # noqa: E402
 from jetvar.printer import format_expression  # noqa: E402
-from jetvar.theory import LocalFunctional, Theory, on_shell_reduce  # noqa: E402
+from jetvar.theory import (  # noqa: E402
+    LocalFunctional,
+    Section,
+    Theory,
+    evaluate_density,
+    on_shell_reduce,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -706,6 +713,35 @@ def test_substitute_equals_factor_by_factor_products(n, data):
     got = substitute(e, bindings)
     assert got == expected
     _assert_orders(got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_evaluate_density_equals_substitution_of_the_jets(n, data):
+    # substitute of the section's jets is the reference for the packed evaluator
+    sig = SIGS[n]
+    m = sig.from_atom(sig.atom("m"))
+    base = tuple(v.name for v in sig.variables) + ("m",)
+
+    def laurent(e):
+        # a factor m^-k on some terms, k in 0..2
+        return Expression.sum(sig, [Expression.from_terms(sig, [item], e.den)
+                                    * invert_monomial(m ** data.draw(st.integers(0, 2)))
+                                    for item in e._nums])
+
+    density = laurent(data.draw(expressions(sig, base + ("u", "v", "psi"))))
+    values = {("psi", ()): sig.zero()}
+    for key in (("u", (1,)), ("u", (2,)), ("v", ())):
+        values[key] = laurent(data.draw(expressions(sig, base, max_terms=3)))
+    section = Section(Theory(sig, sig.zero()), values)
+    got = evaluate_density(density, section)
+    gens = sig.generators
+    bindings = {a: jetcalc.apply_multi_derivative(section.value(gens[a.gen].name, a.comp),
+                                                  a.mindex)
+                for a in density.jet_atoms()}
+    assert got == substitute(density, bindings)
+    _assert_normal(got)
 
 
 def test_substitute_negative_parameter_exponents():

@@ -6,8 +6,19 @@ from fractions import Fraction
 import pytest
 
 from jetvar import jetcalc
-from jetvar.core import FIELD, Expression
+from jetvar.core import (
+    EVEN,
+    FIELD,
+    VAR,
+    Expression,
+    Generator,
+    Grading,
+    Signature,
+    invert_monomial,
+    substitute,
+)
 from jetvar.errors import (
+    DomainError,
     GeneratorMismatchError,
     GradingViolationError,
     MissingCharacteristicError,
@@ -266,6 +277,18 @@ class TestIntegrateOnBox:
         with pytest.raises(UnknownGeneratorError, match="does not bound variable 't'"):
             integrate_on_box(functional, section, {}, params={"m": 2})
 
+    def test_laurent_parameter_binds_to_a_nonzero_value(self, mech):
+        sig = mech.signature
+        m = sig.from_atom(sig.atom("m"))
+        section = Section(mech, {("u", ()): sig.coord("t") ** 2})
+        ut = sig.coord("u", d=("t",))
+        density = invert_monomial(m * m) * ut * ut + m * sig.coord("u")
+        # on [0, 1], u_t^2 = 4 t^2 integrates to 4/3 and u = t^2 to 1/3
+        value = integrate_on_box(density, section, {"t": (0, 1)}, params={"m": 2})
+        assert value == Fraction(4, 3) / 4 + 2 * Fraction(1, 3)
+        with pytest.raises(DomainError, match="'m' is bound to 0"):
+            integrate_on_box(density, section, {"t": (0, 1)}, params={"m": 0})
+
     def test_unbound_parameter(self, mech):
         sig = mech.signature
         section = Section(mech, {("u", ()): sig.coord("t")})
@@ -288,6 +311,24 @@ class TestIntegrateOnBox:
             Section(theory, {("u", ()): plane_sig.coord("u")})
         # the zero section on an odd field is fine
         Section(theory, {("psi", ()): plane_sig.zero()})
+
+    def test_ghost_numbered_field_takes_only_the_zero_section(self):
+        sig = Signature([Generator("t", VAR), Generator("u", FIELD, grading=Grading(EVEN, 1)),
+                         Generator("w", FIELD, grading=Grading(EVEN, -1))], [1])
+        theory = Theory(sig, sig.coord("u") * sig.coord("w"))
+        t = sig.coord("t")
+        zero = Section(theory, {("u", ()): sig.zero(), ("w", ()): sig.zero()})
+        assert integrate_on_box(theory.functional(theory.lagrangian), zero, {"t": (0, 1)}) == 0
+        with pytest.raises(GradingViolationError, match="not homogeneous"):
+            evaluate_density(theory.lagrangian, Section(theory, {("u", ()): t, ("w", ()): t}))
+
+    def test_packed_exponents_do_not_carry(self, plane_sig):
+        # the t-exponent of (t^3 + x)^5 reaches 15, the bound evaluate_density
+        # packs exponents below: one less and t^15 would read as x
+        sig = plane_sig
+        t, x = sig.coord("t"), sig.coord("x")
+        section = Section(Theory(sig, sig.zero()), {("u", ()): t ** 3 + x})
+        assert evaluate_density(sig.coord("u") ** 5, section) == (t ** 3 + x) ** 5
 
     def test_divergence_invariance_with_boundary_vanishing_bump(self, mech_sig):
         # adding D_t(G * bump) does not change the boxed value when bump and
@@ -348,7 +389,15 @@ def _seeded_section(theory, seed):
 def test_substitute_shares_products(monkeypatch):
     theory = builtin("yang_mills_su2", dim=3).theory
     section = _seeded_section(theory, 5)
-    expected = evaluate_density(theory.lagrangian, section)
+    lagrangian = theory.lagrangian
+    gens = theory.signature.generators
+    bindings = {
+        atom: jetcalc.apply_multi_derivative(section.value(gens[atom.gen].name, atom.comp),
+                                             atom.mindex)
+        for atom in lagrangian.jet_atoms()
+    }
+    expected = substitute(lagrangian, bindings)
+    assert expected == evaluate_density(lagrangian, section)
     calls = []
     original = Expression.__mul__
 
@@ -360,7 +409,7 @@ def test_substitute_shares_products(monkeypatch):
     counts = []
     for _ in range(2):
         calls.clear()
-        assert evaluate_density(theory.lagrangian, section) == expected
+        assert substitute(lagrangian, bindings) == expected
         counts.append(len(calls))
     # one product chain per monomial, each starting from const(coeff), made 446
     assert counts[0] == counts[1] <= 446 // 2
