@@ -209,7 +209,7 @@ def _cmd_eval(args, out):
     box = _parse_box(args.box)
     params = _parse_params(args.param)
     value = integrate_on_box(theory.functional(theory.lagrangian), section, box, params=params)
-    out.write(f"value = {value}\n")
+    out.write(f"value = {format_expression(theory.signature.const(value), args.style)}\n")
     return EXIT_OK
 
 

@@ -6,12 +6,12 @@ expr)`` is a density taken modulo total divergences, which is exactly how the
 Euler-Lagrange system, symmetry checks, and the evaluation pairing treat
 them.
 
-A density is evaluated exactly on a polynomial section: ``evaluate_density``
-multiplies the images of its jets with the variables' exponents packed into
-one int per term (its own representation, unpacked once into a normal-form
-``Expression``), ``integrate_box_polynomial`` integrates the result over a
-rational box, and ``integrate_on_box`` evaluates that at the bound
-parameters.
+A density is evaluated exactly on a polynomial section in two phases: a plan
+of the density alone, memoized on it, then one pass per section in integers.
+``evaluate_density`` multiplies the images of its jets with the variables'
+exponents packed into one int per term, ``integrate_box_polynomial``
+integrates the result over a rational box in integers, and
+``integrate_on_box`` evaluates that at the bound parameters.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     Signature,
     VAR,
     _make,
+    _memo,
     _merge_even,
     grading_of,
     invert_monomial,
@@ -390,11 +391,28 @@ def on_shell_reduce(
 def _check_evaluable(expr: Expression):
     if expr.is_zero():
         return
-    g = grading_of(expr)
+    g = _memo(expr, grading_of)
     if g.parity != EVEN:
         raise OddDensityError("cannot integrate an odd density")
     if g.ghost != 0 or g.antifield != 0:
         raise NonzeroGhostNumberError("cannot integrate a density of nonzero ghost number")
+
+
+def _plan(density: Expression):
+    """What ``evaluate_density`` reads of the density alone, memoized: its jet atoms,
+    the leading-factor trie as ``(parent, factor)`` entries (node i is entry i - 1,
+    node 0 the empty product) and ``(numerator, node)`` per monomial without odd factors."""
+    root, nodes, monomials = {}, [], []
+    for (even, odd), c in density._nums:
+        if not odd:
+            node, index = root, 0
+            for factor in even:
+                if factor not in node:
+                    nodes.append((index, factor))
+                    node[factor] = (len(nodes), {})
+                index, node = node[factor]
+            monomials.append((c, index))
+    return list(density.jet_atoms()), nodes, monomials
 
 
 def evaluate_density(density_expr: Expression, section: Section) -> Expression:
@@ -408,15 +426,16 @@ def evaluate_density(density_expr: Expression, section: Section) -> Expression:
     packed ints and merges parameter tuples.  ``base`` is 1 plus a bound on
     the degree of any monomial's image (each factor's exponent times its
     image's total degree), so no exponent carries into the next variable.
-    As in ``substitute``, each factor's power is built once, monomials share
-    the products of their leading factors through a trie, and a monomial with
-    an odd factor, or a zero prefix product, contributes nothing: a section
-    is zero on every odd field.  The products are summed over the lcm of
-    their denominators and unpacked once into a normal-form expression.
+    The plan memoized on the density shares the products of leading factors
+    through a trie; each factor's power is built once, and a monomial with an
+    odd factor, or under a zero product, contributes nothing: a section is
+    zero on every odd field.  The products are summed over the lcm of their
+    denominators and unpacked once into a normal-form expression.
     """
     sig = density_expr.sig
+    jet_atoms, nodes, monomials = _memo(density_expr, _plan)
     images = {}
-    for atom in density_expr.jet_atoms():
+    for atom in jet_atoms:
         gen = sig.generators[atom.gen]
         if gen.role != FIELD:
             raise UnknownGeneratorError(
@@ -439,9 +458,10 @@ def evaluate_density(density_expr: Expression, section: Section) -> Expression:
     for atom, img in images.items():
         degree[atom] = max((sum(x for a, x in even if a.gen in position)
                             for (even, _), _ in img._nums), default=0)
-    bound = max((sum(x * degree.get(a, 0) for a, x in even)
-                 for (even, odd), _ in density_expr._nums if not odd), default=0)
-    base = bound + 1
+    degrees = [0]  # a node's is its parent's plus its factor's, never negative
+    for parent, (a, x) in nodes:
+        degrees.append(degrees[parent] + x * degree.get(a, 0))
+    base = max(degrees) + 1
 
     def pack(img: Expression):
         terms = []
@@ -474,28 +494,17 @@ def evaluate_density(density_expr: Expression, section: Section) -> Expression:
             powers[factor] = f
         return f
 
-    # trie of leading factors: factor -> (product of the prefix, child trie)
-    root = {}
-    one = ((((0, ()), 1),), 1)
-    products = []  # (numerator of the monomial, packed image of its factors)
-    for (even, odd), c in density_expr._nums:
-        if odd:
-            continue
-        node, product = root, one
-        for factor in even:
-            entry = node.get(factor)
-            if entry is None:
-                f = power(factor)
-                entry = node[factor] = (f if node is root else _packed_mul(product, f), {})
-            product, node = entry
-            if not product[0]:
-                break
-        else:
-            products.append((c, product))
-    den = math.lcm(*[d for _, (_, d) in products])
+    products = [((((0, ()), 1),), 1)]
+    for parent, factor in nodes:
+        product = products[parent]
+        if product[0]:
+            product = power(factor) if parent == 0 else _packed_mul(product, power(factor))
+        products.append(product)
+    live = [(c, products[node]) for c, node in monomials if products[node][0]]
+    den = math.lcm(*[d for _, (_, d) in live])
     acc = {}
     get = acc.get
-    for c, (terms, d) in products:
+    for c, (terms, d) in live:
         scale = c * (den // d)
         for key, n in terms:
             acc[key] = get(key, 0) + scale * n
@@ -528,10 +537,10 @@ def _packed_mul(f, g):
 def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expression:
     """Integrate a jet-free polynomial over a rational box, variable by variable.
 
-    Each moment (variable, exponent) and each product of the box lengths of
-    the variables a term lacks is computed once per call; their numerators
-    and denominators fold into each term as integers, over the lcm of the
-    terms' denominators.
+    In integers: with lo = a/b, hi = c/d, p = a*d, q = c*b and r = b*d, the
+    moment of x^(k-1) is (q^k - p^k) / (r^k * k) and a box length (q - p) / r.
+    Each moment and each product of the lengths a term lacks is built once per
+    call and folds into the term, over the lcm of the terms' denominators.
     """
     sig = expr.sig
     for name in box:
@@ -540,8 +549,8 @@ def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expr
     for var in sig.variables:
         if var.name not in box:
             raise UnknownGeneratorError(f"box does not bound variable {var.name!r}")
-        lo, hi = box[var.name]
-        spans[sig.generator_id(var.name)] = (Fraction(lo), Fraction(hi))
+        (a, b), (c, d) = (Fraction(x).as_integer_ratio() for x in box[var.name])
+        spans[sig.generator_id(var.name)] = (a * d, c * b, b * d)
     moments = {}
     lacking = {}  # variables a term has -> product of the other box lengths
     out = []  # (key, numerator, denominator)
@@ -556,10 +565,11 @@ def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expr
             if gid in spans:
                 moment = moments.get((gid, exp))
                 if moment is None:
-                    lo, hi = spans[gid]
-                    moment = moments[(gid, exp)] = (hi ** (exp + 1) - lo ** (exp + 1)) / (exp + 1)
-                num *= moment.numerator
-                den *= moment.denominator
+                    p, q, r = spans[gid]
+                    k = exp + 1
+                    moment = moments[(gid, exp)] = (q ** k - p ** k, r ** k * k)
+                num *= moment[0]
+                den *= moment[1]
                 seen.append(gid)
             else:
                 if sig.generators[gid].role != PARAM:
@@ -570,10 +580,10 @@ def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expr
         seen = tuple(seen)
         lengths = lacking.get(seen)
         if lengths is None:
-            lengths = lacking[seen] = math.prod(
-                hi - lo for gid, (lo, hi) in spans.items() if gid not in seen
-            )
-        out.append(((tuple(kept), ()), num * lengths.numerator, den * lengths.denominator))
+            rest = [span for gid, span in spans.items() if gid not in seen]
+            lengths = lacking[seen] = (math.prod(q - p for p, q, _ in rest),
+                                       math.prod(r for _, _, r in rest))
+        out.append(((tuple(kept), ()), num * lengths[0], den * lengths[1]))
     scale = math.lcm(*[d for _, _, d in out])
     return Expression.from_terms(sig, [(key, n * (scale // d)) for key, n, d in out],
                                  expr.den * scale)

@@ -148,6 +148,19 @@ def test_eval():
 _EVAL = ("eval", str(MODELS / "free.jv"), "--section", "u=t^2")
 
 
+@pytest.mark.parametrize("m, plain, latex", [
+    ("2", "4/3", r"\frac{4}{3}"),
+    ("-2", "-4/3", r"-\frac{4}{3}"),
+    ("3", "2", "2"),
+    ("0", "0", "0"),
+])
+def test_eval_prints_the_value_in_either_style(m, plain, latex):
+    # --latex used to be ignored: the value always printed as plain text
+    argv = (*_EVAL, "--box", "t=0..1", "--param", f"m={m}")
+    assert run(*argv) == (0, f"value = {plain}\n")
+    assert run(*argv, "--latex") == (0, f"value = {latex}\n")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("--box", "t=0..1,t=0..2", "--param", "m=2"), (2, "parse error: box bounds 't' twice\n")),
     (("--box", "t=0..1", "--param", "m=2", "--param", "m=3"),

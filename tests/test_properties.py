@@ -6,8 +6,9 @@ memoized derivative sweep behind partial derivatives and the Euler operator,
 of right derivatives against a reference walk, of the antibracket and the
 divergence verdict against their direct formulas, of the antibracket's graded
 antisymmetry and Leibniz rule modulo divergences, of the packed evaluation
-of densities on sections against substitution, of the printer/parser round
-trip, and of gauge operators read back from their printed form."""
+of densities on sections against substitution, of integer box integration
+against the rational moment formula, of the printer/parser round trip, and of
+gauge operators read back from their printed form."""
 
 import functools
 import math
@@ -55,6 +56,7 @@ from jetvar.theory import (  # noqa: E402
     Section,
     Theory,
     evaluate_density,
+    integrate_box_polynomial,
     on_shell_reduce,
 )
 
@@ -742,6 +744,64 @@ def test_evaluate_density_equals_substitution_of_the_jets(n, data):
                 for a in density.jet_atoms()}
     assert got == substitute(density, bindings)
     _assert_normal(got)
+
+
+def _integral_reference(e: Expression, box: dict) -> Expression:
+    """Term by term with ``Fraction`` moments (hi^(k+1) - lo^(k+1)) / (k+1)
+    and box lengths hi - lo."""
+    sig = e.sig
+    spans = {sig.generator_id(name): tuple(map(Fraction, bounds)) for name, bounds in box.items()}
+    out = sig.zero()
+    for mono in e.terms:
+        coeff = mono.coeff
+        kept = []
+        for a, x in mono.even:
+            if a.gen in spans:
+                lo, hi = spans[a.gen]
+                coeff *= (hi ** (x + 1) - lo ** (x + 1)) / (x + 1)
+            else:
+                kept.append((a, x))
+        for gid, (lo, hi) in spans.items():
+            if all(a.gen != gid for a, _ in mono.even):
+                coeff *= hi - lo
+        out = out + Expression(sig, (Monomial(coeff, tuple(kept), ()),))
+    return out
+
+
+bounds = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_integrate_box_polynomial_equals_the_fraction_moments(n, data):
+    sig = SIGS[n]
+    m = sig.from_atom(sig.atom("m"))
+    names = [v.name for v in sig.variables]
+    terms = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        term = sig.const(data.draw(coefficients))
+        for name in data.draw(st.lists(st.sampled_from(names), unique=True)):
+            term = term * sig.coord(name) ** data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(-3, 3))
+        term = term * (m ** k if k >= 0 else invert_monomial(m ** -k))
+        terms.append(term)
+    e = Expression.sum(sig, terms)
+    box = {}
+    for name in names:
+        lo = data.draw(bounds)
+        # a zero-width box or any other bound, reversed ones (hi < lo) included
+        box[name] = (lo, data.draw(st.one_of(st.just(lo), bounds)))
+    got = integrate_box_polynomial(e, box)
+    assert got == _integral_reference(e, box)
+    _assert_normal(got)
+
+
+def test_integrate_a_high_power():
+    sig = SIGS[1]
+    lo, hi = Fraction(-1, 3), Fraction(2, 5)
+    got = integrate_box_polynomial(sig.coord("t") ** 200, {"t": (lo, hi)})
+    assert got == sig.const((hi ** 201 - lo ** 201) / 201)
 
 
 def test_substitute_negative_parameter_exponents():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from jetvar import jetcalc
+from jetvar import jetcalc, theory as theory_module
 from jetvar.core import (
     EVEN,
     FIELD,
+    GHOST,
+    ODD,
     VAR,
     Expression,
     Generator,
@@ -21,6 +23,7 @@ from jetvar.errors import (
     DomainError,
     GeneratorMismatchError,
     GradingViolationError,
+    InhomogeneousExpressionError,
     MissingCharacteristicError,
     NonzeroGhostNumberError,
     NotSolvableError,
@@ -413,3 +416,72 @@ def test_substitute_shares_products(monkeypatch):
         counts.append(len(calls))
     # one product chain per monomial, each starting from const(coeff), made 446
     assert counts[0] == counts[1] <= 446 // 2
+
+
+def _fresh(e):
+    """A copy of ``e`` that carries no memo."""
+    return Expression.from_terms(e.sig, e._nums, e.den)
+
+
+def test_plan_is_built_once_per_density(monkeypatch, plane_sig):
+    sig = plane_sig
+    t, x, u, v = (sig.coord(name) for name in ("t", "x", "u", "v"))
+    ut = sig.coord("u", d=("t",))
+    # a constant, an odd monomial, and products that are zero on some sections
+    small = 3 * sig.one() + sig.coord("psi") * u + u * v * v + t * ut * ut - x * v ** 3
+    ym = builtin("yang_mills_su2", dim=3).theory
+    cases = [
+        (_fresh(small), [Section(Theory(sig, sig.zero()),
+                                 {("u", ()): a, ("v", ()): b, ("psi", ()): sig.zero()})
+                         for a, b in ((t, sig.zero()), (sig.zero(), x), (t + x, t * x - 1))]),
+        (_fresh(ym.lagrangian), [_seeded_section(ym, seed) for seed in (5, 6, 7)]),
+    ]
+    calls = []
+    original = theory_module._plan
+    monkeypatch.setattr(theory_module, "_plan", lambda e: calls.append(e) or original(e))
+    for density, sections in cases:
+        values = [evaluate_density(density, section) for section in sections]
+        for section, value in zip(sections, values):
+            assert value == evaluate_density(_fresh(density), section)
+            gens = density.sig.generators
+            jets = {a: jetcalc.apply_multi_derivative(section.value(gens[a.gen].name, a.comp),
+                                                      a.mindex)
+                    for a in density.jet_atoms()}
+            assert value == substitute(density, jets)
+        assert len(set(map(str, values))) == len(sections)
+        assert sum(e is density for e in calls) == 1
+
+
+def test_errors_are_not_memoized(mech_sig):
+    # each call runs twice on the same density and must raise both times, with
+    # the message the evaluator gave before its plan was memoized
+    sig = mech_sig
+    th1, th2 = sig.coord("th1"), sig.coord("th2")
+    u, ut = sig.coord("u"), sig.coord("u", d=("t",))
+    empty = Section(Theory(sig, sig.zero()), {})
+    box = {"t": (0, 1)}
+    # a ghost declared before the field, so its atom is looked at first
+    gsig = Signature([Generator("t", VAR), Generator("c", GHOST, grading=Grading(ODD, 1)),
+                      Generator("u", FIELD)], [1])
+    ghost_first = gsig.coord("c") * gsig.coord("c", d=("t",)) * gsig.coord("u")
+    cases = [
+        (evaluate_density, (th1 * th2, empty), UnknownGeneratorError,
+         "cannot evaluate ghost coordinate 'th2' on a section"),
+        (evaluate_density, (ut * ut, empty), MissingCharacteristicError,
+         "section does not assign field component u[]"),
+        (integrate_on_box_expression, (th1 * u, empty, box), OddDensityError,
+         "cannot integrate an odd density"),
+        (integrate_on_box_expression, (u + th1 * th2, empty, box), InhomogeneousExpressionError,
+         "expression is not graded-homogeneous: {(even, gh=0, afn=0), (even, gh=2, afn=0)}"),
+        (evaluate_density, (th1 * th2 * ut, empty), MissingCharacteristicError,
+         "section does not assign field component u[]"),
+        (evaluate_density, (ghost_first, Section(Theory(gsig, gsig.zero()), {})),
+         UnknownGeneratorError, "cannot evaluate ghost coordinate 'c' on a section"),
+    ]
+    for call, args, error, message in cases:
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                call(*args)
+            raised.append(str(info.value))
+        assert raised == [message, message]
