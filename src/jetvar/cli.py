@@ -160,10 +160,10 @@ def _cmd_divergence(args, out):
             if el:
                 out.write(f"EL[{_comp_label(name, comp)}] = {fmt(el)}\n")
         return EXIT_FALSE
+    witnesses = jetcalc.divergence_witness(expr) if args.witness else {}
     out.write("total divergence: yes\n")
-    if args.witness:
-        for var, witness in jetcalc.divergence_witness(expr).items():
-            out.write(f"witness[{var}] = {fmt(witness)}\n")
+    for var, witness in witnesses.items():
+        out.write(f"witness[{var}] = {fmt(witness)}\n")
     return EXIT_OK
 
 
@@ -215,7 +215,10 @@ def _cmd_eval(args, out):
 
 def _cmd_models(args, out):
     if args.emit:
-        out.write(models.model_source(args.emit, dim=args.dim, potential=args.potential))
+        source = models.model_source(args.emit, dim=args.dim, potential=args.potential)
+        if args.potential is not None:
+            parse_model(source)  # a bad potential is a parse error, not a broken model file
+        out.write(source)
         return EXIT_OK
     for name in models.list_models():
         out.write(name + "\n")

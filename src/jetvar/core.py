@@ -17,10 +17,14 @@ only at the edges: constants, the public ``Expression(sig, monomials)``
 constructor, ``constant_value``, ``invert_monomial`` and the ``terms`` view.
 
 ``Expression.from_terms`` is the one accumulator: sums, products and
-substitutions all hand it their terms to add up, sort and reduce.  Graded
-partial derivatives are left ones, from one memoized sweep per expression
-that gives the derivative by every atom at once (``partial_derivative`` is a
-view of it); for ``e`` of parity ``p``, dR e/dz = (-1)^(|z| (p+1)) dL e/dz.
+substitutions all hand it their terms to add up, sort and reduce.
+``substitute`` multiplies each monomial's factor images in stored order and
+shares no products between monomials, so it stays a plain reference for the
+packed evaluator in ``theory``, which keeps the only trie of shared products.
+Graded partial derivatives are left ones, from one memoized sweep per
+expression that gives the derivative by every atom at once
+(``partial_derivative`` is a view of it); for ``e`` of parity ``p``,
+dR e/dz = (-1)^(|z| (p+1)) dL e/dz.
 """
 
 from __future__ import annotations
@@ -627,11 +631,11 @@ def parity_ghost_of(e: Expression):
 def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression:
     """Simultaneous substitution of atoms by equally-graded expressions.
 
-    One call builds each factor image ``repl ** x`` once, and each product of
-    a monomial's leading factors (even factors, then odd ones, in stored
-    order) once: sorted monomials share leading factors, so they share those
-    products.  A monomial's image stops at the first zero prefix product, and
-    the images are scaled to the lcm of their denominators.
+    One call builds each factor image ``repl ** x`` once.  A monomial's image
+    is the product of its factor images in stored order (even factors, then
+    odd ones), starting from the first and stopping at the first zero prefix;
+    monomials share no products.  The images are scaled to the lcm of their
+    denominators.  ``theory.evaluate_density`` is checked against this.
     """
     sig = e.sig
     bound = {}
@@ -662,21 +666,16 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
             images[factor] = f
         return f
 
-    # trie of leading factors: factor -> (product of the prefix, child trie)
-    root = {}
     one = sig.one()
     products = []  # (numerator of the monomial, image of its factors)
     for (even, odd), c in e._nums:
-        node, product = root, one
-        for factor in even + tuple((a, 1) for a in odd):
-            entry = node.get(factor)
-            if entry is None:
-                f = image(factor)
-                entry = node[factor] = (f if node is root else product * f, {})
-            product, node = entry
+        factors = even + tuple((a, 1) for a in odd)
+        product = image(factors[0]) if factors else one
+        for factor in factors[1:]:
             if not product:
                 break
-        else:
+            product = product * image(factor)
+        if product:
             products.append((c, product))
     den = math.lcm(*[p.den for _, p in products])
     scaled = []

@@ -1137,7 +1137,7 @@ def _bv_model(builder: _ModelBuilder, theory: Theory, expanders: List[Expander])
                 name_tok.col,
             )
         per_comp = tables.setdefault(ghost.name, {})
-        for comp in itertools.product(*[range(lo, hi + 1) for lo, hi in ghost.index_ranges]):
+        for comp in ghost.components():
             env = dict(zip(letters, comp))
             raw = op_expander.operator_table(body, env)
             if comp in per_comp:

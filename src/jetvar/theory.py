@@ -16,6 +16,7 @@ integrates the result over a rational box in integers, and
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
@@ -333,22 +334,6 @@ def _solve_for_leading(name: str, comp: tuple, el: Expression):
     return lead, -(inv * rest)
 
 
-def _all_mindices(nvars: int, max_total: int):
-    if nvars == 0:
-        yield ()
-        return
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for k in range(remaining + 1):
-                yield prefix + (k,)
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + (k,), remaining - k, slots - 1)
-
-    yield from rec((), max_total, nvars)
-
-
 def on_shell_reduce(
     e: Expression, theory: Theory, max_order: int, budget: int = 10_000
 ) -> Expression:
@@ -366,7 +351,10 @@ def on_shell_reduce(
         if el.is_zero():
             continue
         lead, rhs = _solve_for_leading(name, comp, el)
-        for mindex in _all_mindices(sig.nvars, max(0, max_order - lead.order)):
+        reach = max(0, max_order - lead.order)
+        for mindex in itertools.product(range(reach + 1), repeat=sig.nvars):
+            if sum(mindex) > reach:
+                continue
             counts = tuple(a + b for a, b in zip(lead.mindex, mindex))
             shifted = Atom(lead.gen, lead.comp, sum(counts), counts)
             if shifted not in rules:
@@ -399,9 +387,10 @@ def _check_evaluable(expr: Expression):
 
 
 def _plan(density: Expression):
-    """What ``evaluate_density`` reads of the density alone, memoized: its jet atoms,
-    the leading-factor trie as ``(parent, factor)`` entries (node i is entry i - 1,
-    node 0 the empty product) and ``(numerator, node)`` per monomial without odd factors."""
+    """What ``evaluate_density`` reads of the density alone, memoized: its jet atoms
+    in canonical order, the leading-factor trie as ``(parent, factor)`` entries (node
+    i is entry i - 1, node 0 the empty product) and ``(numerator, node)`` per monomial
+    without odd factors.  This is the codebase's only trie of shared products."""
     root, nodes, monomials = {}, [], []
     for (even, odd), c in density._nums:
         if not odd:
@@ -412,7 +401,7 @@ def _plan(density: Expression):
                     node[factor] = (len(nodes), {})
                 index, node = node[factor]
             monomials.append((c, index))
-    return list(density.jet_atoms()), nodes, monomials
+    return sorted(density.jet_atoms()), nodes, monomials
 
 
 def evaluate_density(density_expr: Expression, section: Section) -> Expression:
@@ -443,7 +432,7 @@ def evaluate_density(density_expr: Expression, section: Section) -> Expression:
             )
         poly = section.value(gen.name, atom.comp)
         images[atom] = jetcalc.apply_multi_derivative(poly, atom.mindex)
-    # every component is looked up before any grading is checked, as in substitute
+    # every component is looked up, in canonical atom order, before any grading is checked
     for atom, img in images.items():
         grading = sig.atom_grading(atom)
         if img and grading != EVEN_GRADING:

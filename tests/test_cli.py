@@ -193,6 +193,16 @@ def test_eval_binds_a_laurent_parameter(tmp_path, m, expected):
     assert run(*argv) == expected
 
 
+def test_eval_error_names_the_first_jet_atom_in_canonical_order(tmp_path):
+    # the error used to name whichever atom the set of jet atoms yielded first (A[2])
+    code, source = run("models", "--emit", "maxwell", "--dim", "4")
+    assert code == 0
+    model = tmp_path / "maxwell4.jv"
+    model.write_text(source)
+    argv = ("eval", str(model), "--section", "A[3]=t", "--box", "t=0..1,x=0..1,y=0..1,z=0..1")
+    assert run(*argv) == (3, "error: section does not assign field component A[0]\n")
+
+
 def test_internal_fault_while_inverting_a_power_is_not_a_parse_error(monkeypatch, capsys):
     def broken(e):
         raise RuntimeError("fault")
@@ -405,8 +415,9 @@ def test_domain_error_exit_code():
     code, text = run(
         "divergence", str(MODELS / "maxwell.jv"), "--expr", "d(A[0];t)", "--witness"
     )
-    assert code == 3
-    assert "error" in text
+    assert (code, text) == (
+        3, "error: divergence witnesses are only constructed for one independent variable\n"
+    )  # "total divergence: yes" used to come first, on a run that then failed
 
 
 def test_zero_metric_denominator_is_a_parse_error(tmp_path, capsys):
@@ -441,6 +452,23 @@ def test_models_listing_and_emit():
     # models prints model files and names, so it takes no --latex
     code, text = run("models", "--latex")
     assert (code, text) == (2, "")
+
+
+FREE_PARTICLE_QUARTIC = """# non-relativistic particle in a polynomial potential
+vars t
+metric diag(1)
+params m
+field u[1..3]
+lagrangian 1/2 * m * d(u[i];t) * d(u[i];t) - (u[1]^4)
+"""
+
+
+def test_emitted_potential_is_parsed_first():
+    assert run("models", "--emit", "free_particle", "--potential", "u[1]^4") == (
+        0, FREE_PARTICLE_QUARTIC)
+    # a bad potential used to exit 0 with a model file that no command could read
+    assert run("models", "--emit", "free_particle", "--potential", "u[1]^") == (
+        2, "parse error: 6:52: unexpected ')' (expected int)\n")
 
 
 def test_latex_flag():

