@@ -215,10 +215,7 @@ def _cmd_eval(args, out):
 
 def _cmd_models(args, out):
     if args.emit:
-        source = models.model_source(args.emit, dim=args.dim, potential=args.potential)
-        if args.potential is not None:
-            parse_model(source)  # a bad potential is a parse error, not a broken model file
-        out.write(source)
+        out.write(models.model_source(args.emit, dim=args.dim, potential=args.potential))
         return EXIT_OK
     for name in models.list_models():
         out.write(name + "\n")

@@ -147,7 +147,22 @@ def model_source(name: str, dim: Optional[int] = None, potential: Optional[str] 
             if not 1 <= dim <= len(_VAR_NAMES):
                 raise UnknownGeneratorError(f"base dimension {dim} not supported")
             kwargs["dim"] = dim
-    return _SOURCES[name](**kwargs)
+    source = _SOURCES[name](**kwargs)
+    if potential:
+        _check_potential(source, potential)
+    return source
+
+
+def _check_potential(source: str, potential: str):
+    """Parse the model, then the potential alone over its signature, so a
+    potential that parses only once spliced into ``- (...)`` is an error;
+    positions in an error point into ``source``."""
+    from .parser import parse_expression, parse_model
+
+    theory = parse_model(source)
+    start = source.rindex(f"({potential})") + 1
+    line = source.count("\n", 0, start) + 1
+    parse_expression(potential, theory, line, start - source.rfind("\n", 0, start))
 
 
 def builtin(name: str, dim: Optional[int] = None, potential: Optional[str] = None) -> ModelDescriptor:

@@ -799,10 +799,11 @@ def _context_signature(context) -> Signature:
     raise TypeError("context must be a Signature, Theory, or BVExtension")
 
 
-def parse_expression(text: str, context) -> Expression:
-    """Parse one expression in the given theory context."""
+def parse_expression(text: str, context, line: int = 1, col: int = 1) -> Expression:
+    """Parse one expression in the given theory context; positions in errors
+    count from ``line`` and ``col``."""
     sig = _context_signature(context)
-    ast = _Parser(tokenize(text)).parse_full()
+    ast = _Parser(tokenize(text, line, col)).parse_full()
     return Expander(sig).expression(ast)
 
 

@@ -8,16 +8,22 @@ them.
 
 A density is evaluated exactly on a polynomial section in two phases: a plan
 of the density alone, memoized on it, then one pass per section in integers.
-``evaluate_density`` multiplies the images of its jets with the variables'
-exponents packed into one int per term, ``integrate_box_polynomial``
-integrates the result over a rational box in integers, and
-``integrate_on_box`` evaluates that at the bound parameters.
+There is one evaluator, ``_evaluate``, and one integrator, ``_integrate``.
+From the section's values to the box integral a term is one int, the
+exponents of the variables and the parameters as balanced digits, with an
+integer numerator: the jets are derived, multiplied and integrated in that
+form, and an ``Expression`` is built only where one is returned.
+``evaluate_density`` unpacks the evaluator's terms, ``integrate_box_polynomial``
+packs a polynomial for the integrator, ``integrate_on_box_expression`` hands
+the one to the other, and ``integrate_on_box`` evaluates that at the bound
+parameters.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -33,7 +39,6 @@ from .core import (
     VAR,
     _make,
     _memo,
-    _merge_even,
     grading_of,
     invert_monomial,
     is_homogeneous_of,
@@ -254,6 +259,12 @@ class Section:
                     raise GradingViolationError(
                         "section values must be polynomials in variables and parameters"
                     )
+            # the packed evaluator derives a variable's power e by falling factorials of e >= 0
+            if any(x < 0 and sig.generators[a.gen].role == VAR
+                   for (even, _), _ in poly._nums for a, x in even):
+                raise GradingViolationError(
+                    f"section value of {name}{list(comp)} has a negative power of a variable"
+                )
             if gen.grading.parity == ODD and poly:
                 raise GradingViolationError(
                     f"odd field {name!r} admits only the zero numeric section"
@@ -386,12 +397,63 @@ def _check_evaluable(expr: Expression):
         raise NonzeroGhostNumberError("cannot integrate a density of nonzero ghost number")
 
 
+def _digits(sig: Signature) -> list:
+    """The atoms a packed term keeps one digit each of: the variables in
+    declaration order, then the parameters in canonical order."""
+    return [sig.atom(g.name) for g in sig.variables] + [
+        sig.atom(g.name) for g in sig.generators if g.role == PARAM
+    ]
+
+
+def _read(e: Expression, position: Mapping[int, int]):
+    """A jet-free polynomial as each term's exponents by digit, the terms'
+    numerators, and the largest sum of absolute exponents of a term."""
+    rows, nums = [], []
+    top = 0
+    for (even, odd), n in e._nums:
+        if odd:
+            raise OddDensityError("cannot integrate an odd integrand")
+        exps = [0] * len(position)
+        for atom, x in even:
+            i = position.get(atom.gen)
+            if i is None:
+                raise UnknownGeneratorError(
+                    f"integrand still contains jet coordinate {e.sig.generators[atom.gen].name!r}"
+                )
+            exps[i] = x
+        rows.append(exps)
+        nums.append(n)
+        top = max(top, sum(map(abs, exps)))
+    return rows, nums, top
+
+
+def _pack(exps, scale) -> int:
+    """The int of exponents by digit, with ``scale[i] = base**i``."""
+    return sum(map(operator.mul, exps, scale))
+
+
+def _balanced(packed: int, base: int, count: int) -> list:
+    """The lowest ``count`` digits of a packed int, each of absolute value below ``base / 2``."""
+    half = base // 2
+    out = []
+    for _ in range(count):
+        x = packed % base
+        if x >= half:
+            x -= base
+        packed = (packed - x) // base
+        out.append(x)
+    return out
+
+
 def _plan(density: Expression):
-    """What ``evaluate_density`` reads of the density alone, memoized: its jet atoms
-    in canonical order, the leading-factor trie as ``(parent, factor)`` entries (node
-    i is entry i - 1, node 0 the empty product) and ``(numerator, node)`` per monomial
-    without odd factors.  This is the codebase's only trie of shared products."""
+    """What ``_evaluate`` reads of the density alone, memoized: the atoms of
+    ``_digits``, its jet atoms in canonical order, the leading-factor trie as
+    ``(parent, factor)`` entries (node i is entry i - 1, node 0 the empty
+    product), ``(numerator, node)`` per monomial without odd factors, and the
+    largest sum of absolute exponents of such a monomial.  This is the
+    codebase's only trie of shared products."""
     root, nodes, monomials = {}, [], []
+    width = 0
     for (even, odd), c in density._nums:
         if not odd:
             node, index = root, 0
@@ -401,190 +463,198 @@ def _plan(density: Expression):
                     node[factor] = (len(nodes), {})
                 index, node = node[factor]
             monomials.append((c, index))
-    return sorted(density.jet_atoms()), nodes, monomials
+            width = max(width, sum(abs(x) for _, x in even))
+    return _digits(density.sig), sorted(density.jet_atoms()), nodes, monomials, width
 
 
-def evaluate_density(density_expr: Expression, section: Section) -> Expression:
-    """Substitute the jets of a section into a density.
+def _evaluate(density: Expression, section: Section):
+    """The density on the section as packed terms ``(digits, base, terms, den)``.
 
-    The images ``D_alpha(value)`` come from ``jetcalc.apply_multi_derivative``.
-    They are multiplied in a packed form private to this function: a term is
-    ``(packed, params) -> numerator``, where ``packed`` holds the exponent k
-    of the i-th base variable as ``k * base**i`` and ``params`` is the sorted
-    tuple of parameter factors (Laurent exponents allowed), so a product adds
-    packed ints and merges parameter tuples.  ``base`` is 1 plus a bound on
-    the degree of any monomial's image (each factor's exponent times its
-    image's total degree), so no exponent carries into the next variable.
-    The plan memoized on the density shares the products of leading factors
-    through a trie; each factor's power is built once, and a monomial with an
-    odd factor, or under a zero product, contributes nothing: a section is
-    zero on every odd field.  The products are summed over the lcm of their
-    denominators and unpacked once into a normal-form expression.
+    A term is one int ``sum x_i * base**i`` over the exponents x_i of the
+    atoms in ``digits``, with a numerator over ``den``.  Every digit, also of
+    a partial product, is below ``base / 2`` in absolute value (a parameter
+    may have a negative exponent), so the product of two terms is the sum of
+    their ints.  That holds with ``base / 2 - 1`` the density's largest sum
+    of absolute exponents of a monomial times the largest of an image: a
+    jet's is at most its value's less the jet's order, and a variable's or a
+    parameter's is 1.  Each section component is read once, and ``D_alpha``
+    of a term lowers each variable's exponent e by k and multiplies by
+    e!/(e-k)!.  The plan shares the products of leading factors through a
+    trie; each factor's power is built once, and a monomial with an odd
+    factor, or under a zero product, contributes nothing: a section is zero
+    on every odd field.
     """
-    sig = density_expr.sig
-    jet_atoms, nodes, monomials = _memo(density_expr, _plan)
-    images = {}
+    sig = density.sig
+    digits, jet_atoms, nodes, monomials, width = _memo(density, _plan)
+    position = {a.gen: i for i, a in enumerate(digits)}
+    values = {}  # (generator, component) -> rows, numerators, degree, denominator
     for atom in jet_atoms:
         gen = sig.generators[atom.gen]
         if gen.role != FIELD:
             raise UnknownGeneratorError(
                 f"cannot evaluate {gen.role} coordinate {gen.name!r} on a section"
             )
-        poly = section.value(gen.name, atom.comp)
-        images[atom] = jetcalc.apply_multi_derivative(poly, atom.mindex)
-    # every component is looked up, in canonical atom order, before any grading is checked
-    for atom, img in images.items():
+        key = (atom.gen, atom.comp)
+        if key not in values:
+            value = section.value(gen.name, atom.comp)
+            values[key] = *_read(value, position), value.den
+    degree = max([1] + [values[a.gen, a.comp][2] - a.order for a in jet_atoms])
+    base = 2 * width * degree + 2
+    scale = [base ** i for i in range(len(digits))]
+    ints = {key: [_pack(exps, scale) for exps in rows] for key, (rows, *_) in values.items()}
+    # every component was looked up, in canonical atom order, before any grading is checked
+    images = {}
+    for atom in jet_atoms:
+        key = (atom.gen, atom.comp)
+        rows, nums, _, den = values[key]
+        if atom.order:
+            shift = _pack(atom.mindex, scale)
+            counts = [(v, k) for v, k in enumerate(atom.mindex) if k]
+            terms = []
+            for p, exps, n in zip(ints[key], rows, nums):
+                for v, k in counts:
+                    if exps[v] < k:
+                        break
+                    n *= math.perm(exps[v], k)
+                else:
+                    terms.append((p - shift, n))
+            terms = tuple(terms)
+        else:
+            terms = tuple(zip(ints[key], nums))
         grading = sig.atom_grading(atom)
-        if img and grading != EVEN_GRADING:
+        if terms and grading != EVEN_GRADING:
             raise GradingViolationError(
                 f"replacement for atom of grading {grading} is not homogeneous of that grading"
             )
+        images[atom] = terms, den
 
-    var_atoms = [sig.atom(v.name) for v in sig.variables]
-    position = {a.gen: i for i, a in enumerate(var_atoms)}
-    # total degree in the variables of each factor's image; a parameter's is 0
-    degree = {a: 1 for a in var_atoms}
-    for atom, img in images.items():
-        degree[atom] = max((sum(x for a, x in even if a.gen in position)
-                            for (even, _), _ in img._nums), default=0)
-    degrees = [0]  # a node's is its parent's plus its factor's, never negative
-    for parent, (a, x) in nodes:
-        degrees.append(degrees[parent] + x * degree.get(a, 0))
-    base = max(degrees) + 1
-
-    def pack(img: Expression):
-        terms = []
-        for (even, _), n in img._nums:
-            packed = 0
-            params = []
-            for a, x in even:
-                if a.gen in position:
-                    packed += x * base ** position[a.gen]
-                else:
-                    params.append((a, x))
-            terms.append(((packed, tuple(params)), n))
-        return tuple(terms), img.den
-
-    packed_images = {atom: pack(img) for atom, img in images.items()}
     powers = {}
-
-    def power(factor):
-        f = powers.get(factor)
-        if f is None:
-            a, x = factor
-            if a in packed_images:
-                f = img = packed_images[a]
-                for _ in range(x - 1):
-                    f = _packed_mul(f, img)
-            elif a.gen in position:
-                f = ((((x * base ** position[a.gen], ()), 1),), 1)
-            else:  # a parameter, possibly with a negative exponent
-                f = ((((0, (factor,)), 1),), 1)
-            powers[factor] = f
-        return f
-
-    products = [((((0, ()), 1),), 1)]
+    products = [(((0, 1),), 1)]
     for parent, factor in nodes:
         product = products[parent]
         if product[0]:
-            product = power(factor) if parent == 0 else _packed_mul(product, power(factor))
+            f = powers.get(factor)
+            if f is None:
+                a, x = factor
+                if a in images:
+                    f = img = images[a]
+                    for _ in range(x - 1):
+                        f = _packed_mul(f, img)
+                else:  # a variable or a parameter, possibly with a negative exponent
+                    f = (((x * scale[position[a.gen]], 1),), 1)
+                powers[factor] = f
+            product = f if parent == 0 else _packed_mul(product, f)
         products.append(product)
     live = [(c, products[node]) for c, node in monomials if products[node][0]]
     den = math.lcm(*[d for _, (_, d) in live])
     acc = {}
     get = acc.get
     for c, (terms, d) in live:
-        scale = c * (den // d)
+        weight = c * (den // d)
         for key, n in terms:
-            acc[key] = get(key, 0) + scale * n
-    out = []
-    for (packed, params), n in acc.items():
-        if n:
-            factors = list(params)
-            for a in var_atoms:
-                packed, x = divmod(packed, base)
-                if x:
-                    factors.append((a, x))
-            if params:
-                factors.sort()
-            out.append(((tuple(factors), ()), n))
-    return Expression.from_terms(sig, out, density_expr.den * den)
+            acc[key] = get(key, 0) + weight * n
+    return digits, base, acc.items(), density.den * den
 
 
 def _packed_mul(f, g):
-    """Product of two packed polynomials of ``evaluate_density``."""
+    """Product of two packed polynomials of ``_evaluate``."""
+    (left, d1), (right, d2) = f, g
+    if len(left) < len(right):
+        left, right = right, left
+    if len(right) == 1:  # a shift of every term: no two meet, none cancels
+        ((p2, n2),) = right
+        return tuple([(p1 + p2, n1 * n2) for p1, n1 in left]), d1 * d2
     acc = {}
     get = acc.get
-    right = g[0]
-    for (p1, q1), n1 in f[0]:
-        for (p2, q2), n2 in right:
-            key = (p1 + p2, _merge_even(q1, q2))
-            acc[key] = get(key, 0) + n1 * n2
-    return tuple(item for item in acc.items() if item[1]), f[1] * g[1]
+    for p1, n1 in left:
+        for p2, n2 in right:
+            p = p1 + p2
+            acc[p] = get(p, 0) + n1 * n2
+    return tuple([item for item in acc.items() if item[1]]), d1 * d2
 
 
-def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expression:
-    """Integrate a jet-free polynomial over a rational box, variable by variable.
+def evaluate_density(density_expr: Expression, section: Section) -> Expression:
+    """Substitute the jets of a section into a density: the packed terms of
+    ``_evaluate``, unpacked into one normal-form expression.  ``substitute``
+    of the jets ``jetcalc.apply_multi_derivative`` gives is its reference."""
+    digits, base, terms, den = _evaluate(density_expr, section)
+    order = sorted(range(len(digits)), key=digits.__getitem__)
+    out = []
+    for packed, n in terms:
+        exps = _balanced(packed, base, len(digits))
+        out.append(((tuple((digits[i], exps[i]) for i in order if exps[i]), ()), n))
+    return Expression.from_terms(density_expr.sig, out, den)
 
-    In integers: with lo = a/b, hi = c/d, p = a*d, q = c*b and r = b*d, the
-    moment of x^(k-1) is (q^k - p^k) / (r^k * k) and a box length (q - p) / r.
-    Each moment and each product of the lengths a term lacks is built once per
-    call and folds into the term, over the lcm of the terms' denominators.
-    """
-    sig = expr.sig
+
+def _spans(sig: Signature, box: Mapping[str, tuple]) -> list:
+    """(p, q, r) per variable in declaration order: with lo = a/b and
+    hi = c/d, p = a*d, q = c*b and r = b*d, so lo = p/r and hi = q/r."""
     for name in box:
         sig.var_position(name)  # a bound on anything but a variable is an error
-    spans = {}
+    spans = []
     for var in sig.variables:
         if var.name not in box:
             raise UnknownGeneratorError(f"box does not bound variable {var.name!r}")
         (a, b), (c, d) = (Fraction(x).as_integer_ratio() for x in box[var.name])
-        spans[sig.generator_id(var.name)] = (a * d, c * b, b * d)
-    moments = {}
-    lacking = {}  # variables a term has -> product of the other box lengths
-    out = []  # (key, numerator, denominator)
-    for (even, odd), num in expr._nums:
-        if odd:
-            raise OddDensityError("cannot integrate an odd integrand")
-        den = 1
-        kept = []
-        seen = []
-        for atom, exp in even:
-            gid = atom.gen
-            if gid in spans:
-                moment = moments.get((gid, exp))
-                if moment is None:
-                    p, q, r = spans[gid]
-                    k = exp + 1
-                    moment = moments[(gid, exp)] = (q ** k - p ** k, r ** k * k)
-                num *= moment[0]
-                den *= moment[1]
-                seen.append(gid)
-            else:
-                if sig.generators[gid].role != PARAM:
-                    raise UnknownGeneratorError(
-                        f"integrand still contains jet coordinate {sig.generators[gid].name!r}"
-                    )
-                kept.append((atom, exp))
-        seen = tuple(seen)
-        lengths = lacking.get(seen)
-        if lengths is None:
-            rest = [span for gid, span in spans.items() if gid not in seen]
-            lengths = lacking[seen] = (math.prod(q - p for p, q, _ in rest),
-                                       math.prod(r for _, _, r in rest))
-        out.append(((tuple(kept), ()), num * lengths[0], den * lengths[1]))
-    scale = math.lcm(*[d for _, _, d in out])
-    return Expression.from_terms(sig, [(key, n * (scale // d)) for key, n, d in out],
-                                 expr.den * scale)
+        spans.append((a * d, c * b, b * d))
+    return spans
+
+
+def _integrate(sig: Signature, packed, spans: list) -> Expression:
+    """Integrate packed terms ``(digits, base, terms, den)`` over a box, in integers.
+
+    The moment of x^k over [p/r, q/r] is (q^(k+1) - p^(k+1)) / (r^(k+1) (k+1));
+    with top = base/2 - 1 bounding every exponent, each variable has one
+    table of them over r^(top+1) lcm(1..top+1), and a term that lacks the
+    variable reads the box length at k = 0.  Variable digits are nonnegative
+    and lowest, so ``divmod`` peels them off a term; what is left is its
+    parameter part, and the parts are grouped before one ``from_terms``.
+    """
+    digits, base, terms, den = packed
+    top = base // 2 - 1
+    lcm = math.lcm(*range(1, top + 2))
+    tables = []
+    for p, q, r in spans:
+        tables.append([(q ** (k + 1) - p ** (k + 1)) * r ** (top - k) * (lcm // (k + 1))
+                       for k in range(top + 1)])
+        den *= r ** (top + 1) * lcm
+    grouped = {}
+    get = grouped.get
+    for rest, n in terms:
+        for table in tables:
+            rest, k = divmod(rest, base)
+            n *= table[k]
+        grouped[rest] = get(rest, 0) + n
+    params = digits[len(spans):]
+    out = []
+    for rest, n in grouped.items():
+        exps = _balanced(rest, base, len(params))
+        out.append(((tuple((a, x) for a, x in zip(params, exps) if x), ()), n))
+    return Expression.from_terms(sig, out, den)
+
+
+def integrate_box_polynomial(expr: Expression, box: Mapping[str, tuple]) -> Expression:
+    """Integrate a jet-free polynomial over a rational box: its terms, packed
+    as ``_evaluate`` packs them, through the one integrator ``_integrate``."""
+    sig = expr.sig
+    spans = _spans(sig, box)
+    digits = _digits(sig)
+    rows, nums, top = _read(expr, {a.gen: i for i, a in enumerate(digits)})
+    base = 2 * top + 2
+    scale = [base ** i for i in range(len(digits))]
+    terms = [(_pack(exps, scale), n) for exps, n in zip(rows, nums)]
+    return _integrate(sig, (digits, base, terms, expr.den), spans)
 
 
 def integrate_on_box_expression(
     functional, section: Section, box: Mapping[str, tuple]
 ) -> Expression:
-    """Exact value of a functional on a section, symbolic in the parameters."""
+    """Exact value of a functional on a section, symbolic in the parameters:
+    the packed terms of ``_evaluate`` integrated as they are."""
     expr = functional.expr if isinstance(functional, LocalFunctional) else functional
     _check_evaluable(expr)
-    return integrate_box_polynomial(evaluate_density(expr, section), box)
+    packed = _evaluate(expr, section)
+    return _integrate(expr.sig, packed, _spans(expr.sig, box))
 
 
 def integrate_on_box(

@@ -469,6 +469,10 @@ def test_emitted_potential_is_parsed_first():
     # a bad potential used to exit 0 with a model file that no command could read
     assert run("models", "--emit", "free_particle", "--potential", "u[1]^") == (
         2, "parse error: 6:52: unexpected ')' (expected int)\n")
+    # one that parses only once spliced into "- (...)" used to exit 0 with the
+    # potential u[1] - u[2]
+    assert run("models", "--emit", "free_particle", "--potential", "u[1]) + (u[2]") == (
+        2, "parse error: 6:51: unexpected trailing ')'\n")
 
 
 def test_latex_flag():

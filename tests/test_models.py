@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 from jetvar.bv import BVExtension
-from jetvar.errors import UnknownGeneratorError
+from jetvar.errors import ParseError, UnknownGeneratorError
 from jetvar.models import builtin, list_models, model_source, run_checks
 from jetvar.parser import parse_model
 
@@ -58,6 +58,13 @@ def test_configurable_potential():
     m = sig.from_atom(sig.atom("m"))
     u1 = sig.coord("u", (1,))
     assert el[("u", (1,))] == -(m * sig.coord("u", (1,), d=("t", "t"))) - u1 ** 3 * 4
+
+
+def test_potential_is_parsed_on_its_own():
+    # spliced into "- (...)", this one would read as the potential u[1] - u[2]
+    for build in (builtin, model_source):
+        with pytest.raises(ParseError, match=r"^6:51: unexpected trailing '\)'$"):
+            build("free_particle", potential="u[1]) + (u[2]")
 
 
 @pytest.mark.parametrize("name", ["free_particle", "scalar_phi4", "maxwell", "yang_mills_su2"])

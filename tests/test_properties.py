@@ -7,7 +7,8 @@ of right derivatives against a reference walk, of the antibracket and the
 divergence verdict against their direct formulas, of the antibracket's graded
 antisymmetry and Leibniz rule modulo divergences, of the packed evaluation
 of densities on sections against substitution, of integer box integration
-against the rational moment formula, of the printer/parser round trip, and of
+against the rational moment formula, of the fused packed evaluation and
+integration against both, of the printer/parser round trip, and of
 gauge operators read back from their printed form."""
 
 import functools
@@ -57,6 +58,7 @@ from jetvar.theory import (  # noqa: E402
     Theory,
     evaluate_density,
     integrate_box_polynomial,
+    integrate_on_box_expression,
     on_shell_reduce,
 )
 
@@ -720,32 +722,44 @@ def test_substitute_equals_factor_by_factor_products(n, data):
     _assert_orders(got)
 
 
+@st.composite
+def laurent(draw, sig, names, max_terms=4):
+    """An expression over ``names`` with a factor m^-k, k in 0..2, on each term."""
+    e = draw(expressions(sig, names, max_terms))
+    m = sig.from_atom(sig.atom("m"))
+    return Expression.sum(sig, [Expression.from_terms(sig, [item], e.den)
+                                * invert_monomial(m ** draw(st.integers(0, 2)))
+                                for item in e._nums])
+
+
+@st.composite
+def laurent_sections(draw, sig):
+    """Laurent values of u[1], u[2] and v in the variables and m; psi is zero."""
+    base = tuple(v.name for v in sig.variables) + ("m",)
+    values = {("psi", ()): sig.zero()}
+    for key in (("u", (1,)), ("u", (2,)), ("v", ())):
+        values[key] = draw(laurent(sig, base, max_terms=3))
+    return Section(Theory(sig, sig.zero()), values)
+
+
+def _jets(density: Expression, section: Section) -> dict:
+    """Each jet atom of the density bound to D_alpha of its section value."""
+    gens = density.sig.generators
+    return {a: jetcalc.apply_multi_derivative(section.value(gens[a.gen].name, a.comp), a.mindex)
+            for a in density.jet_atoms()}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @PROPERTY
 @given(data=st.data())
 def test_evaluate_density_equals_substitution_of_the_jets(n, data):
     # substitute of the section's jets is the reference for the packed evaluator
     sig = SIGS[n]
-    m = sig.from_atom(sig.atom("m"))
-    base = tuple(v.name for v in sig.variables) + ("m",)
-
-    def laurent(e):
-        # a factor m^-k on some terms, k in 0..2
-        return Expression.sum(sig, [Expression.from_terms(sig, [item], e.den)
-                                    * invert_monomial(m ** data.draw(st.integers(0, 2)))
-                                    for item in e._nums])
-
-    density = laurent(data.draw(expressions(sig, base + ("u", "v", "psi"))))
-    values = {("psi", ()): sig.zero()}
-    for key in (("u", (1,)), ("u", (2,)), ("v", ())):
-        values[key] = laurent(data.draw(expressions(sig, base, max_terms=3)))
-    section = Section(Theory(sig, sig.zero()), values)
+    names = tuple(v.name for v in sig.variables) + ("m", "u", "v", "psi")
+    density = data.draw(laurent(sig, names))
+    section = data.draw(laurent_sections(sig))
     got = evaluate_density(density, section)
-    gens = sig.generators
-    bindings = {a: jetcalc.apply_multi_derivative(section.value(gens[a.gen].name, a.comp),
-                                                  a.mindex)
-                for a in density.jet_atoms()}
-    assert got == substitute(density, bindings)
+    assert got == substitute(density, _jets(density, section))
     _assert_normal(got)
 
 
@@ -774,6 +788,17 @@ def _integral_reference(e: Expression, box: dict) -> Expression:
 bounds = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
 
+@st.composite
+def boxes(draw, sig):
+    """Bounds for every variable: a zero-width interval or any other, reversed
+    ones (hi < lo) included."""
+    box = {}
+    for var in sig.variables:
+        lo = draw(bounds)
+        box[var.name] = (lo, draw(st.one_of(st.just(lo), bounds)))
+    return box
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @PROPERTY
 @given(data=st.data())
@@ -790,13 +815,24 @@ def test_integrate_box_polynomial_equals_the_fraction_moments(n, data):
         term = term * (m ** k if k >= 0 else invert_monomial(m ** -k))
         terms.append(term)
     e = Expression.sum(sig, terms)
-    box = {}
-    for name in names:
-        lo = data.draw(bounds)
-        # a zero-width box or any other bound, reversed ones (hi < lo) included
-        box[name] = (lo, data.draw(st.one_of(st.just(lo), bounds)))
+    box = data.draw(boxes(sig))
     got = integrate_box_polynomial(e, box)
     assert got == _integral_reference(e, box)
+    _assert_normal(got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_integrate_on_box_expression_equals_the_integral_of_the_substituted_jets(n, data):
+    # the evaluator's packed terms go to the integrator without an Expression between
+    sig = SIGS[n]
+    names = tuple(v.name for v in sig.variables) + ("m", "u", "v")
+    density = data.draw(laurent(sig, names))
+    section = data.draw(laurent_sections(sig))
+    box = data.draw(boxes(sig))
+    got = integrate_on_box_expression(density, section, box)
+    assert got == _integral_reference(substitute(density, _jets(density, section)), box)
     _assert_normal(got)
 
 

@@ -15,6 +15,7 @@ from jetvar.core import (
     Expression,
     Generator,
     Grading,
+    Monomial,
     Signature,
     invert_monomial,
     substitute,
@@ -41,6 +42,7 @@ from jetvar.theory import (
     Theory,
     euler_lagrange_system,
     evaluate_density,
+    integrate_box_polynomial,
     integrate_on_box,
     integrate_on_box_expression,
     is_noether_identity,
@@ -314,6 +316,11 @@ class TestIntegrateOnBox:
             Section(theory, {("u", ()): plane_sig.coord("u")})
         # the zero section on an odd field is fine
         Section(theory, {("psi", ()): plane_sig.zero()})
+        # only a parameter takes a negative power; t^-1 can be built only through the
+        # rational constructor, since the parser rejects it
+        t_inverse = Expression(plane_sig, [Monomial(Fraction(1), ((plane_sig.atom("t"), -1),), ())])
+        with pytest.raises(GradingViolationError, match=r"u\[\] has a negative power"):
+            Section(theory, {("u", ()): t_inverse})
 
     def test_ghost_numbered_field_takes_only_the_zero_section(self):
         sig = Signature([Generator("t", VAR), Generator("u", FIELD, grading=Grading(EVEN, 1)),
@@ -326,12 +333,38 @@ class TestIntegrateOnBox:
             evaluate_density(theory.lagrangian, Section(theory, {("u", ()): t, ("w", ()): t}))
 
     def test_packed_exponents_do_not_carry(self, plane_sig):
-        # the t-exponent of (t^3 + x)^5 reaches 15, the bound evaluate_density
-        # packs exponents below: one less and t^15 would read as x
+        # the t-exponent of (t^3 + x)^5 reaches 15, the bound on the digits
+        # evaluate_density packs: one less and t^15 would read as t^-15 * x
         sig = plane_sig
         t, x = sig.coord("t"), sig.coord("x")
         section = Section(Theory(sig, sig.zero()), {("u", ()): t ** 3 + x})
         assert evaluate_density(sig.coord("u") ** 5, section) == (t ** 3 + x) ** 5
+
+    def test_packed_digits_reach_their_bound(self, mech_sig):
+        # u^4 on u = m^2 reaches m^8, the bound on the digits: one lower and
+        # m^8 would read as m^-8; with u = m^-2 * t^5 + m^3 a Laurent factor
+        # meets both signs, and jets of order above a value's degree are zero
+        sig = mech_sig
+        t, m, u = sig.coord("t"), sig.coord("m"), sig.coord("u")
+        ut, uttt = sig.coord("u", d=("t",)), sig.coord("u", d=("t", "t", "t"))
+        densities = [u ** 4, invert_monomial(m ** 3) * u ** 4, m ** 3 * u ** 4,
+                     u * uttt + t * ut * ut * uttt]
+        values = [m * m, invert_monomial(m * m), invert_monomial(m * m) * t ** 5 + m ** 3,
+                  t ** 2 + m, sig.zero()]
+        box = {"t": (Fraction(2, 3), Fraction(-1, 2))}
+        theory = Theory(sig, sig.zero())
+        for density in densities:
+            for value in values:
+                section = Section(theory, {("u", ()): value})
+                jets = {a: jetcalc.apply_multi_derivative(value, a.mindex)
+                        for a in density.jet_atoms()}
+                expected = substitute(density, jets)
+                assert evaluate_density(density, section) == expected
+                assert integrate_on_box_expression(density, section, box) == \
+                    integrate_box_polynomial(expected, box)
+        section = Section(theory, {("u", ()): m * m})
+        assert evaluate_density(u ** 4, section) == m ** 8
+        assert integrate_on_box_expression(u ** 4, section, box) == m ** 8 * Fraction(-7, 6)
 
     def test_divergence_invariance_with_boundary_vanishing_bump(self, mech_sig):
         # adding D_t(G * bump) does not change the boxed value when bump and
@@ -416,6 +449,31 @@ def test_substitute_shares_products(monkeypatch):
         counts.append(len(calls))
     # one product chain per monomial, each starting from const(coeff), made 446
     assert counts[0] == counts[1] <= 446 // 2
+
+
+def test_box_integral_stays_packed(monkeypatch):
+    # from the section's values to the value a term stays one int: no jet is
+    # taken through apply_multi_derivative, and only the value is normalized
+    theory = builtin("yang_mills_su2", dim=3).theory
+    lagrangian = theory.lagrangian
+    section = _seeded_section(theory, 5)
+    box = {"t": (0, 1), "x": (Fraction(-1, 2), Fraction(1, 3)), "y": (1, Fraction(5, 2))}
+    gens = theory.signature.generators
+    jets = {a: jetcalc.apply_multi_derivative(section.value(gens[a.gen].name, a.comp),
+                                              a.mindex)
+            for a in lagrangian.jet_atoms()}
+    expected = integrate_box_polynomial(substitute(lagrangian, jets), box)
+    assert integrate_on_box_expression(lagrangian, section, box) == expected  # plans the density
+    calls = []
+    derive, from_terms = jetcalc.apply_multi_derivative, Expression.from_terms
+    monkeypatch.setattr(jetcalc, "apply_multi_derivative",
+                        lambda *args: calls.append("derive") or derive(*args))
+    monkeypatch.setattr(Expression, "from_terms",
+                        staticmethod(lambda *args: calls.append("from_terms") or from_terms(*args)))
+    value = integrate_on_box_expression(lagrangian, section, box)
+    monkeypatch.undo()
+    assert value == expected
+    assert "derive" not in calls and calls.count("from_terms") <= 1
 
 
 def _fresh(e):
