@@ -310,6 +310,11 @@ def cli_dispatch(argv, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "models" and args.emit is None:
+            # a listing has no model file for these to shape
+            for flag in ("dim", "potential"):
+                if getattr(args, flag) is not None:
+                    parser.error(f"models --{flag} applies only with --emit")
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:

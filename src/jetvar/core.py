@@ -19,8 +19,9 @@ constructor, ``constant_value``, ``invert_monomial`` and the ``terms`` view.
 ``Expression.from_terms`` is the one accumulator: sums, products and
 substitutions all hand it their terms to add up, sort and reduce.
 ``substitute`` multiplies each monomial's factor images in stored order and
-shares no products between monomials, so it stays a plain reference for the
-packed evaluator in ``theory``, which keeps the only trie of shared products.
+shares no products between monomials (a monomial with no bound factor is
+copied as it is), so it stays a plain reference for the packed evaluator in
+``theory``, which keeps the only trie of shared products.
 Graded partial derivatives are left ones, from one memoized sweep per
 expression that gives the derivative by every atom at once
 (``partial_derivative`` is a view of it); for ``e`` of parity ``p``,
@@ -631,11 +632,13 @@ def parity_ghost_of(e: Expression):
 def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression:
     """Simultaneous substitution of atoms by equally-graded expressions.
 
-    One call builds each factor image ``repl ** x`` once.  A monomial's image
-    is the product of its factor images in stored order (even factors, then
-    odd ones), starting from the first and stopping at the first zero prefix;
-    monomials share no products.  The images are scaled to the lcm of their
-    denominators.  ``theory.evaluate_density`` is checked against this.
+    One call builds each factor image ``repl ** x`` once; an unbound factor
+    is its own image.  A monomial's image is the product of its factor
+    images in stored order (even factors, then odd ones), starting from the
+    first and stopping at the first zero prefix; monomials share no
+    products, and a monomial with no bound factor is copied as it is.  The
+    images are scaled to the lcm of their denominators.
+    ``theory.evaluate_density`` is checked against this.
     """
     sig = e.sig
     bound = {}
@@ -655,22 +658,26 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
         if f is None:
             a, x = factor
             repl = bound.get(a)
-            if x < 0:
-                if repl is not None:
-                    raise GradingViolationError(
-                        "cannot substitute a parameter occurring with a negative exponent"
-                    )
-                f = _param_power(sig, a, x)
+            if repl is None:
+                f = _power(sig, a, x)
+            elif x < 0:
+                raise GradingViolationError(
+                    "cannot substitute a parameter occurring with a negative exponent"
+                )
             else:
-                f = (sig.from_atom(a) if repl is None else repl) ** x
+                f = repl ** x
             images[factor] = f
         return f
 
-    one = sig.one()
+    kept = []  # monomials with no bound factor, as they are
     products = []  # (numerator of the monomial, image of its factors)
-    for (even, odd), c in e._nums:
+    for item in e._nums:
+        (even, odd), c = item
+        if not any(a in bound for a, _ in even) and not any(a in bound for a in odd):
+            kept.append(item)
+            continue
         factors = even + tuple((a, 1) for a in odd)
-        product = image(factors[0]) if factors else one
+        product = image(factors[0])
         for factor in factors[1:]:
             if not product:
                 break
@@ -678,17 +685,20 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
         if product:
             products.append((c, product))
     den = math.lcm(*[p.den for _, p in products])
-    scaled = []
+    scaled = kept if den == 1 else [(key, c * den) for key, c in kept]
     for c, p in products:
         scale = c * (den // p.den)
         scaled.extend((key, scale * n) for key, n in p._nums)
     return Expression.from_terms(sig, scaled, e.den * den)
 
 
-def _param_power(sig: Signature, atom: Atom, exponent: int) -> Expression:
-    """Laurent monomial in a parameter (negative exponents arise on-shell only)."""
-    if sig.generators[atom.gen].role != PARAM:
+def _power(sig: Signature, atom: Atom, exponent: int) -> Expression:
+    """An unbound factor as its own one-term expression; a negative exponent
+    is a Laurent monomial in a parameter (it arises on-shell only)."""
+    if exponent < 0 and sig.generators[atom.gen].role != PARAM:
         raise GradingViolationError("negative exponents are reserved for parameters")
+    if sig.generators[atom.gen].grading.parity == ODD:
+        return _make(sig, 1, ((((), (atom,)), 1),))
     return _make(sig, 1, (((((atom, exponent),), ()), 1),))
 
 

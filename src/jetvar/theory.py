@@ -21,7 +21,6 @@ parameters.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -39,10 +38,10 @@ from .core import (
     VAR,
     _make,
     _memo,
+    _merge_even,
     grading_of,
     invert_monomial,
     is_homogeneous_of,
-    partial_derivative,
     substitute,
 )
 from . import jetcalc
@@ -61,6 +60,15 @@ from .errors import (
 )
 
 Component = Tuple[str, tuple]
+
+
+def _field_components(sig: Signature) -> list:
+    return [
+        (gen.name, comp)
+        for _, gen in sig.jet_generators()
+        if gen.role == FIELD
+        for comp in gen.components()
+    ]
 
 
 class Theory:
@@ -98,12 +106,7 @@ class Theory:
     # -- enumeration ----------------------------------------------------------
 
     def field_components(self):
-        return [
-            (gen.name, comp)
-            for _, gen in self.signature.jet_generators()
-            if gen.role == FIELD
-            for comp in gen.components()
-        ]
+        return _field_components(self.signature)
 
     # -- conveniences -----------------------------------------------------------
 
@@ -325,14 +328,33 @@ def _lead_key(atom: Atom):
 
 
 def _solve_for_leading(name: str, comp: tuple, el: Expression):
-    """Orient EL = 0 as leading-coordinate -> lower terms; error if nonlinear."""
+    """Orient EL = 0 as leading-coordinate -> lower terms; error if nonlinear.
+
+    The coefficient is read from the terms that hold the leading atom, with
+    the sign of a graded left derivative, and the rest are the other terms;
+    once the coefficient is an invertible parameter monomial, EL = coeff *
+    lead + rest, and the rule is lead -> -rest / coeff."""
     sig = el.sig
     lead = max(el.jet_atoms(), key=_lead_key, default=None)
     if lead is None:
         raise NotSolvableError(
             f"EL for {name}{list(comp)} contains no jet coordinate to solve for"
         )
-    coeff = partial_derivative(el, lead)
+    held, rest = [], []
+    for item in el._nums:
+        (even, odd), c = item
+        if lead in odd:
+            j = odd.index(lead)
+            held.append(((even, odd[:j] + odd[j + 1:]), -c if j % 2 else c))
+            continue
+        for i, (a, x) in enumerate(even):
+            if a == lead:
+                kept = even[:i] + ((a, x - 1),) if x != 1 else even[:i]
+                held.append(((kept + even[i + 1:], odd), c * x))
+                break
+        else:
+            rest.append(item)
+    coeff = Expression.from_terms(sig, held, el.den)
     if lead in coeff.atoms():
         raise NotSolvableError(f"EL for {name}{list(comp)} is nonlinear in its leading coordinate")
     try:
@@ -341,8 +363,38 @@ def _solve_for_leading(name: str, comp: tuple, el: Expression):
         raise NotSolvableError(
             f"leading coefficient of EL for {name}{list(comp)} is not an invertible parameter monomial"
         ) from None
-    rest = el - coeff * sig.from_atom(lead)
-    return lead, -(inv * rest)
+    # -inv * rest, term by term: inv is one even parameter monomial
+    (((inverse, _), n),) = inv._nums
+    rhs = [((_merge_even(even, inverse), odd), -n * c) for (even, odd), c in rest]
+    return lead, Expression.from_terms(sig, rhs, inv.den * el.den)
+
+
+def _orient(lagrangian: Expression):
+    """What ``on_shell_reduce`` reads of the Lagrangian alone, memoized on
+    it: ``(lead, rhs)`` of every nonzero EL component in sorted component
+    order, and the rules met so far, one table per ``max_order`` (see
+    ``_rule``).  An orientation error is raised before anything is stored."""
+    sig = lagrangian.sig
+    leads = []
+    for name, comp in sorted(_field_components(sig)):
+        el = jetcalc.variational_derivative(lagrangian, name, comp)
+        if el:
+            leads.append(_solve_for_leading(name, comp, el))
+    return leads, {}
+
+
+def _rule(atom: Atom, leads: list, max_order: int) -> Optional[Expression]:
+    """The rewrite of a jet atom, or None if it is no target.  The atom is a
+    target of ``lead`` iff it is ``lead + alpha`` with an order of at most
+    ``max(lead.order, max_order)``; the first such lead in sorted component
+    order gives ``D_alpha`` of its right-hand side."""
+    for lead, rhs in leads:
+        if (atom.gen, atom.comp) == (lead.gen, lead.comp) and (
+                atom.order <= max(lead.order, max_order)):
+            alpha = tuple(a - b for a, b in zip(atom.mindex, lead.mindex))
+            if min(alpha, default=0) >= 0:
+                return jetcalc.apply_multi_derivative(rhs, alpha)
+    return None
 
 
 def on_shell_reduce(
@@ -350,29 +402,26 @@ def on_shell_reduce(
 ) -> Expression:
     """Canonical representative of ``e`` modulo the EL ideal truncated at ``max_order``.
 
-    The EL relations are oriented highest-coordinate to lower terms, prolonged
-    up to ``max_order``, and applied until a fixed point; a budget guards
-    against non-terminating orientations.
+    The EL relations are oriented highest-coordinate to lower terms once per
+    Lagrangian (``_orient``), and applied until a fixed point, highest
+    target first; a budget guards against non-terminating orientations.  A
+    target is a prolongation ``lead + alpha`` of an oriented lead up to
+    ``max_order`` (``_rule``), and its rule is derived the first time a
+    reduction meets it, then kept on the Lagrangian for that ``max_order``.
     """
     sig = theory.signature
     if e.sig != sig:
         raise GeneratorMismatchError("expression belongs to a different theory")
-    rules: Dict[Atom, Expression] = {}
-    for (name, comp), el in sorted(euler_lagrange_system(theory).items()):
-        if el.is_zero():
-            continue
-        lead, rhs = _solve_for_leading(name, comp, el)
-        reach = max(0, max_order - lead.order)
-        for mindex in itertools.product(range(reach + 1), repeat=sig.nvars):
-            if sum(mindex) > reach:
-                continue
-            counts = tuple(a + b for a, b in zip(lead.mindex, mindex))
-            shifted = Atom(lead.gen, lead.comp, sum(counts), counts)
-            if shifted not in rules:
-                rules[shifted] = jetcalc.apply_multi_derivative(rhs, mindex)
+    leads, tables = _memo(theory.lagrangian, _orient)
+    rules = tables.setdefault(max_order, {})
     steps = 0
     while True:
-        hits = [a for a in e.jet_atoms() if a in rules]
+        hits = []
+        for a in e.jet_atoms():
+            if a not in rules:
+                rules[a] = _rule(a, leads, max_order)
+            if rules[a] is not None:
+                hits.append(a)
         if not hits:
             return e
         if steps >= budget:
@@ -595,7 +644,10 @@ def _spans(sig: Signature, box: Mapping[str, tuple]) -> list:
     for var in sig.variables:
         if var.name not in box:
             raise UnknownGeneratorError(f"box does not bound variable {var.name!r}")
-        (a, b), (c, d) = (Fraction(x).as_integer_ratio() for x in box[var.name])
+        (a, b), (c, d) = (
+            (x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
+            for x in box[var.name]
+        )
         spans.append((a * d, c * b, b * d))
     return spans
 
@@ -673,12 +725,14 @@ def integrate_on_box(
     value = integrate_on_box_expression(functional, section, box)
     if params:
         sig = value.sig
-        bindings = {}
+        values, bindings = {}, {}
         for name, v in params.items():
             gid = sig.generator_id(name)
             if sig.generators[gid].role != PARAM:
                 raise UnknownGeneratorError(f"{name!r} is not a parameter")
-            bindings[sig.atom(name)] = sig.const(Fraction(v))
+            atom = sig.atom(name)
+            values[atom] = v = Fraction(v)
+            bindings[atom] = Expression.from_terms(sig, ((((), ()), v.numerator),), v.denominator)
         lowest = {}
         for (even, _), _ in value._nums:
             for a, x in even:
@@ -688,7 +742,7 @@ def integrate_on_box(
             clear = tuple((a, -x) for a, x in sorted(lowest.items()))
             scale = Fraction(1)
             for a, k in clear:
-                v = bindings[a].constant_value()
+                v = values[a]
                 if not v:
                     raise DomainError(
                         f"parameter {sig.generators[a.gen].name!r} is bound to 0 "

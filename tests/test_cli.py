@@ -454,6 +454,14 @@ def test_models_listing_and_emit():
     assert (code, text) == (2, "")
 
 
+@pytest.mark.parametrize("flag, value", [("--dim", "7"), ("--potential", "u[1]^4")])
+def test_models_listing_takes_no_emit_flags(flag, value, capsys):
+    # these used to be ignored: the listing printed with exit 0
+    assert run("models", flag, value) == (2, "")
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"jetvar: error: models {flag} applies only with --emit"
+
+
 FREE_PARTICLE_QUARTIC = """# non-relativistic particle in a polynomial potential
 vars t
 metric diag(1)

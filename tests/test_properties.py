@@ -12,6 +12,7 @@ integration against both, of the printer/parser round trip, and of
 gauge operators read back from their printed form."""
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -19,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from jetvar import core, jetcalc  # noqa: E402
 from jetvar.bv import (  # noqa: E402
@@ -38,6 +39,7 @@ from jetvar.core import (  # noqa: E402
     ODD,
     PARAM,
     VAR,
+    Atom,
     Expression,
     Generator,
     Grading,
@@ -56,6 +58,7 @@ from jetvar.theory import (  # noqa: E402
     LocalFunctional,
     Section,
     Theory,
+    euler_lagrange_system,
     evaluate_density,
     integrate_box_polynomial,
     integrate_on_box_expression,
@@ -63,6 +66,9 @@ from jetvar.theory import (  # noqa: E402
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
+# the bracket laws report their first counterexample as drawn: their operands
+# carry jets up to order 7, and shrinking such a counterexample ran for minutes
+BRACKET = settings(PROPERTY, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 def _signature(n: int) -> Signature:
@@ -230,6 +236,89 @@ def test_on_shell_reduce_keeps_order_invariant(n, data):
     for a in reduced.jet_atoms():
         if sig.generators[a.gen].name == "u" and a.order <= 4:
             assert a.mindex[0] < 2, a
+
+
+def _on_shell_reference(e: Expression, theory: Theory, max_order: int) -> Expression:
+    """On-shell reduction as first written: on every call each nonzero EL
+    component is oriented through its partial derivative by its leading atom,
+    and every rule is prolonged up to ``max_order`` before the first rewrite,
+    the first lead in sorted component order keeping a shared atom."""
+    sig = theory.signature
+
+    def lead_key(a):
+        return (a.order, a.gen, a.comp, a.mindex)
+
+    rules = {}
+    for _, el in sorted(euler_lagrange_system(theory).items()):
+        if el.is_zero():
+            continue
+        lead = max(el.jet_atoms(), key=lead_key)
+        coeff = partial_derivative(el, lead)
+        rhs = -(invert_monomial(coeff) * (el - coeff * sig.from_atom(lead)))
+        reach = max(0, max_order - lead.order)
+        for mindex in itertools.product(range(reach + 1), repeat=sig.nvars):
+            if sum(mindex) <= reach:
+                counts = tuple(a + b for a, b in zip(lead.mindex, mindex))
+                shifted = Atom(lead.gen, lead.comp, sum(counts), counts)
+                if shifted not in rules:
+                    rules[shifted] = jetcalc.apply_multi_derivative(rhs, mindex)
+    while True:
+        hits = [a for a in e.jet_atoms() if a in rules]
+        if not hits:
+            return e
+        target = max(hits, key=lead_key)
+        e = substitute(e, {target: rules[target]})
+
+
+def _wave_theory(n: int) -> Theory:
+    """The wave equation for u[1..2] over all n variables, with the potential
+    m*u[1]*u[2]^2/2."""
+    sig = SIGS[n]
+    u = [sig.coord("u", (k,)) for k in (1, 2)]
+    parts = [u[0] * u[1] * u[1] * sig.coord("m") / -2]
+    for k in (0, 1):
+        for i, var in enumerate(sig.variables):
+            d = sig.coord("u", (k + 1,), d=(var.name,))
+            parts.append(d * d / (2 if i == 0 else -2))
+    return Theory(sig, Expression.sum(sig, parts))
+
+
+def _shared_lead_theory() -> Theory:
+    """u_t*w_t + u_x*z_x - m*w*u - z*u^2: EL[w] solves for u_tt and EL[z] for
+    u_xx, so both leads reach u_ttxx and give it different rules."""
+    sig = Signature(
+        [Generator("t", VAR), Generator("x", VAR), Generator("m", PARAM)]
+        + [Generator(name, FIELD) for name in ("u", "w", "z")]
+        + [Generator("psi", FIELD, grading=Grading(ODD, 0))],
+        [1, -1],
+    )
+    c = sig.coord
+    lagrangian = Expression.sum(sig, [
+        c("u", d=("t",)) * c("w", d=("t",)), c("u", d=("x",)) * c("z", d=("x",)),
+        -c("m") * c("w") * c("u"), -c("z") * c("u") * c("u"),
+    ])
+    return Theory(sig, lagrangian)
+
+
+# one Theory per Lagrangian for the whole session, so that calls with
+# different orders meet the orientation and rules kept by earlier calls
+ON_SHELL_THEORIES = {"wave2": _wave_theory(2), "wave3": _wave_theory(3),
+                     "shared_lead": _shared_lead_theory()}
+
+
+@pytest.mark.parametrize("name", sorted(ON_SHELL_THEORIES))
+@PROPERTY
+@given(data=st.data())
+def test_on_shell_reduce_equals_the_eager_reduction(name, data):
+    # one input at several orders in a row, with a term holding a u-jet of
+    # order up to 7, so that some atom is a target at one order and not another
+    theory = ON_SHELL_THEORIES[name]
+    sig = theory.signature
+    names = [g.name for g in sig.generators if g.role != GHOST]
+    e = data.draw(expressions(sig, names, max_terms=3))
+    e = e + sig.from_atom(data.draw(atoms(sig, ("u",))))
+    for max_order in data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=3, unique=True)):
+        assert on_shell_reduce(e, theory, max_order) == _on_shell_reference(e, theory, max_order)
 
 
 def _bv_signature(n: int) -> Signature:
@@ -600,7 +689,7 @@ def bracket_operands(draw, bv, small=False):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@PROPERTY
+@BRACKET
 @given(data=st.data())
 def test_antibracket_equals_the_pair_formula(n, data):
     bv = FULL_BVS[n]
@@ -613,7 +702,7 @@ def _parity(e: Expression) -> int:
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@PROPERTY
+@BRACKET
 @given(data=st.data())
 def test_antibracket_is_graded_antisymmetric(n, data):
     # (F, G) = -(-1)^((|F|+1)(|G|+1)) (G, F) modulo divergences
@@ -625,7 +714,7 @@ def test_antibracket_is_graded_antisymmetric(n, data):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@PROPERTY
+@BRACKET
 @given(data=st.data())
 def test_antibracket_obeys_leibniz_through_x_f(n, data):
     # (F, G*H) = X_F(G)*H + (-1)^((|F|+1)|G|) G*X_F(H) modulo divergences, and

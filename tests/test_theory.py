@@ -237,10 +237,44 @@ class TestOnShellReduce:
         with pytest.raises(NotSolvableError):
             on_shell_reduce(mech_sig.coord("u", d=("t", "t")), theory, 2)
 
+    def test_not_solvable_on_every_call(self, plane_sig):
+        # an orientation error is not kept: each call raises it again, and
+        # from the first component in sorted order (u before v)
+        c = plane_sig.coord
+        theory = Theory(plane_sig, c("u", d=("t",)) ** 3 + c("v", d=("x",)) ** 3)
+        for _ in range(2):
+            with pytest.raises(NotSolvableError, match=r"EL for u\[\] "):
+                on_shell_reduce(c("u"), theory, 2)
+
     def test_budget_guard(self, mech):
         utt = mech.signature.coord("u", d=("t", "t"))
         with pytest.raises(RewriteBudgetError):
             on_shell_reduce(utt, mech, 2, budget=0)
+        # the kept rules change nothing about the budget
+        assert on_shell_reduce(utt, mech, 2).is_zero()
+        with pytest.raises(RewriteBudgetError):
+            on_shell_reduce(utt, mech, 2, budget=0)
+
+    def test_orientation_and_rules_are_kept_on_the_lagrangian(self, monkeypatch):
+        phi4 = builtin("scalar_phi4", dim=2).theory
+        theory = Theory(phi4.signature, Expression(phi4.signature, phi4.lagrangian.terms))
+        e = theory.parse("d(d(d(phi;t);t);x) * d(phi;x) + t * d(d(phi;t);t)^2 + phi")
+        solved, met = [], []
+        solve, rule = theory_module._solve_for_leading, theory_module._rule
+        monkeypatch.setattr(theory_module, "_solve_for_leading",
+                            lambda *args: solved.append(args[:2]) or solve(*args))
+        monkeypatch.setattr(theory_module, "_rule",
+                            lambda atom, *args: met.append(atom) or rule(atom, *args))
+        first = on_shell_reduce(e, theory, 4)
+        assert solved == [("phi", ())]
+        assert met and len(met) == len(set(met))
+        seen = len(met)
+        # a second call orients nothing and derives no rule for an atom met before
+        assert on_shell_reduce(e, theory, 4) == first
+        assert solved == [("phi", ())] and len(met) == seen
+        e2 = theory.parse("d(d(d(d(phi;t);t);x);x) + d(d(phi;t);t)")
+        on_shell_reduce(e2, theory, 4)
+        assert solved == [("phi", ())] and len(met) == len(set(met)) > seen
 
 
 class TestIntegrateOnBox:
