@@ -122,7 +122,10 @@ def _cmd_symm(args, out):
     theory = parsed.theory if isinstance(parsed, BVExtension) else parsed
     chars = {}
     for spec in args.q:
-        chars.update(parse_assignments(spec, theory))
+        for (name, comp), value in parse_assignments(spec, theory).items():
+            if (name, comp) in chars:
+                raise ParseError(f"component {name}{list(comp)} assigned twice")
+            chars[name, comp] = value
     vf = EvolutionaryVF(theory, chars)
     moved = jetcalc.prolong_apply(vf.characteristics, theory.lagrangian)
     if jetcalc.is_total_divergence(moved):

@@ -16,8 +16,11 @@ so no ``Fraction`` is built on those paths.  ``Fraction`` enters and leaves
 only at the edges: constants, the public ``Expression(sig, monomials)``
 constructor, ``constant_value``, ``invert_monomial`` and the ``terms`` view.
 
-``Expression.from_terms`` is the one accumulator: sums, products and
-substitutions all hand it their terms to add up, sort and reduce.
+``Expression.from_terms`` is the one accumulator, unchecked: sums, products
+and substitutions all hand it their terms to add up, sort and reduce.  The
+public ``Expression(sig, monomials)`` multiplies each monomial's factor
+images (``_power``) into the normal form, so user input meets the same sort
+and Koszul signs as any product.
 ``substitute`` multiplies each monomial's factor images in stored order and
 shares no products between monomials (a monomial with no bound factor is
 copied as it is), so it stays a plain reference for the packed evaluator in
@@ -252,9 +255,7 @@ class Signature:
         return self.from_atom(self.atom(name, comp, mindex))
 
     def from_atom(self, atom: Atom) -> "Expression":
-        if self.generators[atom.gen].grading.parity == ODD:
-            return _make(self, 1, ((((), (atom,)), 1),))
-        return _make(self, 1, (((((atom, 1),), ()), 1),))
+        return _power(self, atom, 1)
 
     def const(self, value: Rat) -> "Expression":
         value = Fraction(value)
@@ -353,10 +354,20 @@ class Expression:
     __slots__ = ("sig", "den", "_nums", "_terms", "_sweeps")
 
     def __init__(self, sig: Signature, terms: Iterable[Monomial]):
-        """The normal form of a sum of ``Monomial``s with rational coefficients."""
-        terms = [((m.even, m.odd), Fraction(m.coeff)) for m in terms]
-        den = math.lcm(*[c.denominator for _, c in terms])
-        e = Expression.from_terms(sig, [(key, int(c * den)) for key, c in terms], den)
+        """The normal form of a sum of ``Monomial``s: each is ``sig.const(coeff)``
+        times the product of its factor images ``_power(sig, atom, x)``, even
+        factors then odd ones, in any order; an atom that ``sig.atom`` would
+        not build is an ``UnknownGeneratorError``."""
+        parts = []
+        for m in terms:
+            product = sig.const(m.coeff)
+            for atom, x in (*m.even, *((a, 1) for a in m.odd)):
+                if not 0 <= atom.gen < len(sig.generators) or atom != sig.atom(
+                        sig.generators[atom.gen].name, atom.comp, atom.mindex):
+                    raise UnknownGeneratorError(f"{atom} is not an atom of the signature")
+                product = product * _power(sig, atom, x)
+            parts.append(product)
+        e = Expression.sum(sig, parts)
         _fill(self, sig, e.den, e._nums)
 
     def __setattr__(self, *args):
@@ -368,7 +379,8 @@ class Expression:
     def from_terms(sig: Signature, terms: Iterable[tuple], den: int = 1) -> "Expression":
         """The normal form of a sum of ``((even, odd), numerator)`` pairs over
         the positive integer ``den``: equal keys add up, zero sums drop out,
-        keys sort, and one gcd reduces the denominator."""
+        keys sort, and one gcd reduces the denominator.  Unchecked: the keys
+        must be normal-form keys, with negative exponents only on parameters."""
         acc = {}
         get = acc.get
         for key, c in terms:
@@ -693,12 +705,16 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
 
 
 def _power(sig: Signature, atom: Atom, exponent: int) -> Expression:
-    """An unbound factor as its own one-term expression; a negative exponent
-    is a Laurent monomial in a parameter (it arises on-shell only)."""
-    if exponent < 0 and sig.generators[atom.gen].role != PARAM:
+    """``atom ** exponent``, the one builder of a one-factor expression: 1 for
+    exponent 0, 0 for an odd atom squared, and a negative exponent only on a
+    parameter (a Laurent monomial, which arises on-shell)."""
+    gen = sig.generators[atom.gen]
+    if exponent < 0 and gen.role != PARAM:
         raise GradingViolationError("negative exponents are reserved for parameters")
-    if sig.generators[atom.gen].grading.parity == ODD:
-        return _make(sig, 1, ((((), (atom,)), 1),))
+    if exponent == 0:
+        return _make(sig, 1, ((((), ()), 1),))
+    if gen.grading.parity == ODD:
+        return _make(sig, 1, ((((), (atom,)), 1),) if exponent == 1 else ())
     return _make(sig, 1, (((((atom, exponent),), ()), 1),))
 
 

@@ -863,6 +863,8 @@ def parse_assignments(text: str, context) -> Dict[tuple, Expression]:
         for values in itertools.product(*[range(lo, hi + 1) for _, lo, hi in letters]):
             env = {name: v for (name, _, _), v in zip(letters, values)}
             comp = tuple(expander._index_value(item, env) for item in idx)
+            for v, item, (lo, hi) in zip(comp, idx, gen.index_ranges):
+                expander._check_range(v, [(lo, hi, item, head.text)])
             key = (head.text, comp)
             if key in out:
                 raise ParseError(

@@ -32,7 +32,6 @@ from .core import (
     EVEN_GRADING,
     Expression,
     FIELD,
-    ODD,
     PARAM,
     Signature,
     VAR,
@@ -56,7 +55,6 @@ from .errors import (
     RewriteBudgetError,
     UnboundParameterError,
     UnknownGeneratorError,
-    ZeroExpressionGradingError,
 )
 
 Component = Tuple[str, tuple]
@@ -158,8 +156,7 @@ class EvolutionaryVF:
         sig = theory.signature
         chars = {}
         for (name, comp), q in characteristics.items():
-            sig.atom(name, comp)  # validates the component
-            if sig.generator(name).role != FIELD:
+            if sig.generators[sig.atom(name, comp).gen].role != FIELD:
                 raise UnknownGeneratorError(f"{name!r} is not a field")
             if q.sig != sig:
                 raise GeneratorMismatchError("characteristic uses a different generator set")
@@ -175,10 +172,7 @@ class EvolutionaryVF:
             if q.is_zero():
                 continue
             base = sig.generator(name).grading
-            try:
-                got = grading_of(q)
-            except ZeroExpressionGradingError:  # pragma: no cover - zero handled above
-                continue
+            got = grading_of(q)
             this = (
                 (got.parity - base.parity) % 2,
                 got.ghost - base.ghost,
@@ -215,14 +209,11 @@ class NoetherOperator:
         sig = theory.signature
         clean = {}
         for (name, comp), table in coefficients.items():
-            sig.atom(name, comp)
-            if sig.generator(name).role != FIELD:
+            if sig.generators[sig.atom(name, comp).gen].role != FIELD:
                 raise UnknownGeneratorError(f"{name!r} is not a field")
             entry = {}
             for mindex, coeff in table.items():
-                mindex = tuple(mindex)
-                if len(mindex) != sig.nvars or any(k < 0 for k in mindex):
-                    raise UnknownGeneratorError(f"bad multi-index {mindex}")
+                mindex = sig.atom(name, comp, mindex).mindex  # validates the multi-index
                 if coeff.sig != sig:
                     raise GeneratorMismatchError("coefficient uses a different generator set")
                 if coeff:
@@ -244,33 +235,26 @@ class NoetherOperator:
 
 
 class Section:
-    """Polynomial field values in the base variables and parameters."""
+    """Polynomial field values in the base variables and parameters; a field
+    whose grading is not (even, 0, 0) takes only the zero value."""
 
     def __init__(self, theory: Theory, values: Dict[Component, Expression]):
         self.theory = theory
         sig = theory.signature
         clean = {}
         for (name, comp), poly in values.items():
-            sig.atom(name, comp)
-            gen = sig.generator(name)
+            gen = sig.generators[sig.atom(name, comp).gen]
             if gen.role != FIELD:
                 raise UnknownGeneratorError(f"{name!r} is not a field")
             if poly.sig != sig:
                 raise GeneratorMismatchError("section value uses a different generator set")
-            for a in poly.atoms():
-                if sig.generators[a.gen].role not in (VAR, PARAM):
-                    raise GradingViolationError(
-                        "section values must be polynomials in variables and parameters"
-                    )
-            # the packed evaluator derives a variable's power e by falling factorials of e >= 0
-            if any(x < 0 and sig.generators[a.gen].role == VAR
-                   for (even, _), _ in poly._nums for a, x in even):
+            if any(sig.generators[a.gen].role not in (VAR, PARAM) for a in poly.atoms()):
                 raise GradingViolationError(
-                    f"section value of {name}{list(comp)} has a negative power of a variable"
+                    "section values must be polynomials in variables and parameters"
                 )
-            if gen.grading.parity == ODD and poly:
+            if poly and gen.grading != EVEN_GRADING:
                 raise GradingViolationError(
-                    f"odd field {name!r} admits only the zero numeric section"
+                    f"field {name!r} of grading {gen.grading} admits only the zero section"
                 )
             clean[(name, tuple(comp))] = poly
         self.values = clean
@@ -531,7 +515,7 @@ def _evaluate(density: Expression, section: Section):
     e!/(e-k)!.  The plan shares the products of leading factors through a
     trie; each factor's power is built once, and a monomial with an odd
     factor, or under a zero product, contributes nothing: a section is zero
-    on every odd field.
+    on every field not of grading (even, 0, 0).
     """
     sig = density.sig
     digits, jet_atoms, nodes, monomials, width = _memo(density, _plan)
@@ -551,7 +535,6 @@ def _evaluate(density: Expression, section: Section):
     base = 2 * width * degree + 2
     scale = [base ** i for i in range(len(digits))]
     ints = {key: [_pack(exps, scale) for exps in rows] for key, (rows, *_) in values.items()}
-    # every component was looked up, in canonical atom order, before any grading is checked
     images = {}
     for atom in jet_atoms:
         key = (atom.gen, atom.comp)
@@ -570,11 +553,6 @@ def _evaluate(density: Expression, section: Section):
             terms = tuple(terms)
         else:
             terms = tuple(zip(ints[key], nums))
-        grading = sig.atom_grading(atom)
-        if terms and grading != EVEN_GRADING:
-            raise GradingViolationError(
-                f"replacement for atom of grading {grading} is not homogeneous of that grading"
-            )
         images[atom] = terms, den
 
     powers = {}

@@ -173,6 +173,27 @@ def test_eval_rejects_repeated_and_unknown_bounds(argv, expected):
     assert run(*_EVAL, *argv) == expected
 
 
+_U5 = "parse error: 1:3: component 5 of 'u' outside 1..3\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # out-of-range components on the left used to print "error: ..." with no position (exit 3)
+    (("eval", "free_particle.jv", "--section", "u[5]=t", "--box", "t=0..1", "--param", "m=1"),
+     (2, _U5)),
+    (("symm", "free_particle.jv", "--q", "u[5]=1"), (2, _U5)),
+    # the second --q used to replace the first: "symmetry: no" (exit 1)
+    (("symm", "free.jv", "--q", "u=1", "--q", "u=u"),
+     (2, "parse error: component u[] assigned twice\n")),
+    (("symm", "free_particle.jv", "--q", "u[1]=1", "--q", "u[i]=u[i]"),
+     (2, "parse error: component u[1] assigned twice\n")),
+    (("symm", "free_particle.jv", "--q", "u[1]=1; u[1]=u[1]"),
+     (2, "parse error: 1:9: component u[1] assigned twice\n")),
+])
+def test_assignment_errors(argv, expected):
+    command, model, *rest = argv
+    assert run(command, str(MODELS / model), *rest) == expected
+
+
 LAURENT = """vars t
 params m
 field u

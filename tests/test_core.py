@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from jetvar import builtin
 from jetvar.core import (
+    Atom,
     EVEN,
     EVEN_GRADING,
     Expression,
@@ -61,6 +63,34 @@ class TestConstruction:
             mech_sig.atom("u", (1,))
         with pytest.raises(UnknownGeneratorError):
             mech_sig.atom("m", mindex=(1,))
+
+
+    def test_constructor_normalizes_user_monomials(self):
+        # each of these used to survive the constructor as written
+        sig = builtin("maxwell", dim=2).bv.signature
+        a0, a1, c, a0_star = (sig.atom("A", (0,)), sig.atom("A", (1,)), sig.atom("C"),
+                              sig.atom("A*", (0,)))
+        one = Fraction(1)
+
+        def make(even, odd=()):
+            return Expression(sig, [Monomial(one, even, odd)])
+
+        assert make(((a1, 1), (a0, 1))) == make(((a0, 1), (a1, 1)))
+        assert make(((a0, 0),)) == 1
+        assert make((), (c, c)) == 0
+        assert make(((c, 2),)) == 0
+        assert make((), (a0_star, c)) == -make((), (c, a0_star))
+
+    def test_constructor_rejects_foreign_atoms(self, mech_sig):
+        u = mech_sig.atom("u")
+        one = Fraction(1)
+        for atom in (Atom(len(mech_sig.generators), (), 0, u.mindex),
+                     Atom(-1, (), 0, u.mindex),
+                     Atom(u.gen, (), 1, u.mindex),  # order is not sum(mindex)
+                     Atom(u.gen, (1,), 0, u.mindex),
+                     Atom(mech_sig.atom("m").gen, (), 1, (1,))):
+            with pytest.raises(UnknownGeneratorError):
+                Expression(mech_sig, [Monomial(one, ((atom, 1),), ())])
 
 
 class TestArithmetic:

@@ -191,6 +191,48 @@ def test_sum_edge_cases():
         Expression.sum(sig, [SIGS[2].coord("psi")])
 
 
+@st.composite
+def written_monomials(draw, sig):
+    """A ``Monomial`` as a caller may write it: even factors shuffled and
+    repeated, exponents 0, odd atoms in ``even`` with any exponent, repeated
+    odd atoms, and the parameter with a negative exponent."""
+    pool = draw(st.lists(atoms(sig), min_size=1, max_size=3))
+    even = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 3)), max_size=4))
+    even += draw(st.lists(st.tuples(st.just(sig.atom("m")), st.integers(-2, 2)), max_size=2))
+    odd_pool = draw(st.lists(atoms(sig, ("psi", "c")), min_size=1, max_size=2))
+    odd = draw(st.lists(st.sampled_from(odd_pool), max_size=3))
+    return Monomial(draw(coefficients), tuple(draw(st.permutations(even))), tuple(odd))
+
+
+def _written_reference(sig, mono) -> Expression:
+    """const(coeff) times each factor's power, in the order written."""
+    product = sig.const(mono.coeff)
+    for a, x in mono.even + tuple((a, 1) for a in mono.odd):
+        f = sig.from_atom(a)
+        product = product * (f ** x if x >= 0 else invert_monomial(f ** -x))
+    return product
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_constructor_is_the_product_of_the_written_factors(n, data):
+    sig = SIGS[n]
+    written = data.draw(st.lists(written_monomials(sig), max_size=4))
+    e = Expression(sig, written)
+    assert e == Expression.sum(sig, [_written_reference(sig, m) for m in written])
+    _assert_normal(e)
+    assert parse_expression(format_expression(e), sig) == e
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1), Fraction(0)])
+@pytest.mark.parametrize("name, comp", [("u", (1,)), ("v", ()), ("t", ()), ("psi", ())])
+def test_constructor_rejects_negative_exponents_off_parameters(name, comp, coeff):
+    sig = SIGS[1]
+    with pytest.raises(GradingViolationError, match="reserved for parameters"):
+        Expression(sig, [Monomial(coeff, ((sig.atom(name, comp), -1),), ())])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @PROPERTY
 @given(data=st.data())
