@@ -67,6 +67,14 @@ def _comp_label(name, comp):
     return name + ("[" + ",".join(str(c) for c in comp) + "]" if comp else "")
 
 
+def _rational(text: str) -> Fraction:
+    """``p``, ``p/q`` or a decimal; an exponent part (``1e3``) is rejected,
+    since ``Fraction("1e999999999")`` would build a billion-digit integer."""
+    if "e" in text.lower():
+        raise ValueError(text)
+    return Fraction(text)
+
+
 def _parse_box(text: str):
     box = {}
     for chunk in text.split(","):
@@ -83,7 +91,7 @@ def _parse_box(text: str):
         if name in box:
             raise ParseError(f"box bounds {name!r} twice")
         try:
-            box[name] = (Fraction(lo.strip()), Fraction(hi.strip()))
+            box[name] = (_rational(lo.strip()), _rational(hi.strip()))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational bounds in {chunk!r}") from None
     return box
@@ -99,7 +107,7 @@ def _parse_params(entries):
         if name in out:
             raise ParseError(f"parameter {name!r} is bound twice")
         try:
-            out[name] = Fraction(value.strip())
+            out[name] = _rational(value.strip())
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational value in {entry!r}") from None
     return out

@@ -72,13 +72,6 @@ class Grading(NamedTuple("Grading", [("parity", int), ("ghost", int), ("antifiel
             raise ValueError("antifield number must be nonnegative")
         return super().__new__(cls, parity, ghost, antifield)
 
-    def __add__(self, other: "Grading") -> "Grading":
-        return Grading(
-            (self.parity + other.parity) % 2,
-            self.ghost + other.ghost,
-            self.antifield + other.antifield,
-        )
-
     def __str__(self):
         p = "odd" if self.parity else "even"
         return f"({p}, gh={self.ghost}, afn={self.antifield})"

@@ -186,12 +186,8 @@ def _antiderivative_even(e: Expression, atom: Atom) -> Expression:
     over the lcm of the new divisors."""
     out = []  # (key, numerator, divisor)
     for (even, odd), c in e._nums:
-        for idx, (a, x) in enumerate(even):
-            if a == atom:
-                out.append(((even[:idx] + ((a, x + 1),) + even[idx + 1:], odd), c, x + 1))
-                break
-        else:
-            out.append(((_merge_one_even(even, atom), odd), c, 1))
+        k = 1 + next((x for a, x in even if a == atom), 0)
+        out.append(((_merge_one_even(even, atom), odd), c, k))
     scale = math.lcm(*[k for _, _, k in out])
     return Expression.from_terms(e.sig, [(key, c * (scale // k)) for key, c, k in out],
                                  e.den * scale)

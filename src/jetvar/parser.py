@@ -274,12 +274,10 @@ class _Parser:
                 ref = self.peek()
                 if ref.kind != "name":
                     raise ParseError("EL(...) expects a field reference", ref.line, ref.col)
-                self.next()
-                idx = self.parse_indices() if self.peek().kind == "[" else []
+                ref, idx = self.reference()
                 self.expect(")")
                 return Node("el", (ref.text, idx, ref), tok.line, tok.col)
-            self.next()
-            idx = self.parse_indices() if self.peek().kind == "[" else []
+            _, idx = self.reference()
             return Node("ref", (tok.text, idx), tok.line, tok.col)
         raise ParseError(
             f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
@@ -326,6 +324,11 @@ class _Parser:
             self.next()
         value = int(self.expect("int").text)
         return -value if negative else value
+
+    def reference(self) -> Tuple[Token, List[Index]]:
+        """``NAME ['[' index, ... ']']``: a generator or def reference."""
+        name = self.expect("name")
+        return name, self.parse_indices() if self.peek().kind == "[" else []
 
     def parse_indices(self) -> List[Index]:
         self.expect("[")
@@ -495,17 +498,8 @@ class Expander:
                 raise ParseError(
                     "EL(...) is allowed only in gauge operators", node.line, node.col
                 )
-            gen = self._generator(name, node)
-            if kind == "el" and gen.role != FIELD:
-                at = node.data[2]
-                raise ParseError(f"{name!r} is not a field", at.line, at.col)
-            if len(idx) != len(gen.index_ranges):
-                got = f", got {len(idx)}" if kind == "ref" else ""
-                raise IndexRangeError(
-                    f"{name!r} takes {len(gen.index_ranges)} indices{got}", node.line, node.col
-                )
-            for item, (lo, hi) in zip(idx, gen.index_ranges):
-                self._static_check(item, [(lo, hi, item, name)], walk)
+            field = node.data[2] if kind == "el" else None
+            gen = self._check_reference(name, idx, node, walk, field)
             metric = gen.metric_slots or (False,) * len(gen.index_ranges)
             slots = [Slot(lo, hi, bool(ms)) for (lo, hi), ms in zip(gen.index_ranges, metric)]
             return self._exposed(idx, slots), 0, kind == "el" or gen.role != PARAM
@@ -564,6 +558,24 @@ class Expander:
         elif item.value in walk.bound:
             walk.checks.setdefault(item.value, []).extend(checks)
 
+    def _check_reference(self, name: str, idx, at, walk: _Walk, field=None) -> Generator:
+        """The static check of a generator reference ``name[idx]``, its errors
+        at ``at``: declared, a field if ``field`` (the name's token) is given,
+        one index per slot, and every fixed index in range."""
+        if not self.sig.has_generator(name):
+            raise UndeclaredIdentifierError(f"undeclared identifier {name!r}", at.line, at.col)
+        gen = self.sig.generator(name)
+        if field is not None and gen.role != FIELD:
+            raise ParseError(f"{name!r} is not a field", field.line, field.col)
+        if len(idx) != len(gen.index_ranges):
+            got = f", got {len(idx)}" if field is None else ""
+            raise IndexRangeError(
+                f"{name!r} takes {len(gen.index_ranges)} indices{got}", at.line, at.col
+            )
+        for item, (lo, hi) in zip(idx, gen.index_ranges):
+            self._static_check(item, [(lo, hi, item, name)], walk)
+        return gen
+
     def _check_range(self, value: int, checks) -> None:
         """``checks`` are (lo, hi, index, generator name, or None for a derivative slot)."""
         for lo, hi, item, name in checks:
@@ -574,11 +586,6 @@ class Expander:
             else:
                 message = f"component {value} of {name!r} outside {lo}..{hi}"
             raise IndexRangeError(message, item.line, item.col)
-
-    def _generator(self, name: str, node: Node) -> Generator:
-        if not self.sig.has_generator(name):
-            raise UndeclaredIdentifierError(f"undeclared identifier {name!r}", node.line, node.col)
-        return self.sig.generator(name)
 
     @staticmethod
     def _check_bound(node: Node, letters, bound) -> None:
@@ -837,25 +844,18 @@ def _split_top_level(tokens: List[Token]) -> List[List[Token]]:
 
 
 def parse_assignments(text: str, context) -> Dict[tuple, Expression]:
-    """Parse ``ref = expr [; ref = expr]*``; letters on the left enumerate components."""
+    """Parse ``ref = expr [; ref = expr]*``.  The left side is a field
+    reference, checked as ``EL(...)``'s body is; letters on it enumerate
+    components."""
     sig = _context_signature(context)
     out: Dict[tuple, Expression] = {}
     for tokens in _split_top_level(tokenize(text)):
         parser = _Parser(tokens)
-        head = parser.expect("name")
-        idx = parser.parse_indices() if parser.peek().kind == "[" else []
+        head, idx = parser.reference()
         parser.expect("=")
         body = parser.parse_full()
         expander = Expander(sig)
-        if not sig.has_generator(head.text):
-            raise UndeclaredIdentifierError(
-                f"undeclared identifier {head.text!r}", head.line, head.col
-            )
-        gen = sig.generator(head.text)
-        if len(idx) != len(gen.index_ranges):
-            raise IndexRangeError(
-                f"{head.text!r} takes {len(gen.index_ranges)} indices", head.line, head.col
-            )
+        gen = expander._check_reference(head.text, idx, head, _Walk(frozenset()), head)
         letters = []
         for item, (lo, hi) in zip(idx, gen.index_ranges):
             if item.kind == "letter" and not expander._is_variable(item.value):
@@ -863,8 +863,6 @@ def parse_assignments(text: str, context) -> Dict[tuple, Expression]:
         for values in itertools.product(*[range(lo, hi + 1) for _, lo, hi in letters]):
             env = {name: v for (name, _, _), v in zip(letters, values)}
             comp = tuple(expander._index_value(item, env) for item in idx)
-            for v, item, (lo, hi) in zip(comp, idx, gen.index_ranges):
-                expander._check_range(v, [(lo, hi, item, head.text)])
             key = (head.text, comp)
             if key in out:
                 raise ParseError(
@@ -995,7 +993,7 @@ class _ModelBuilder:
         self.ghost_specs: List[Generator] = []
         self.defs: Dict[str, DefEntry] = {}
         self.def_uses: Dict[str, Node] = {}  # def -> a use of it, at its name
-        self.names = set()  # every declared variable, parameter, field, ghost and def
+        self.names: Dict[str, Token] = {}  # every declared name -> its declaring token
         self.lagrangian_ast: Optional[Node] = None
         self.gauge_lines: List[tuple] = []
         self.master_ast: Optional[Node] = None
@@ -1011,7 +1009,7 @@ class _ModelBuilder:
                              tok.line, tok.col)
         if name in self.names:
             raise ParseError(f"duplicate declaration of {name!r}", tok.line, tok.col)
-        self.names.add(name)
+        self.names[name] = tok
         return name
 
     def build_signature(self, line):
@@ -1155,7 +1153,8 @@ def _bv_model(builder: _ModelBuilder, theory: Theory, expanders: List[Expander])
     for ghost in builder.ghost_specs:
         ops = tables.get(ghost.name)
         if ops is None:
-            raise ParseError(f"ghost {ghost.name!r} has no gauge block", 1, 1)
+            at = builder.names[ghost.name]
+            raise ParseError(f"ghost {ghost.name!r} has no gauge block", at.line, at.col)
         gauge.append((ghost, ops))
     bv = extend_to_bv(theory, gauge)
     if builder.master_ast is not None:

@@ -4,7 +4,9 @@ A Theory packages a signature with a Lagrangian density.  A density is a
 plain ``Expression`` over the theory's signature; ``LocalFunctional(theory,
 expr)`` is a density taken modulo total divergences, which is exactly how the
 Euler-Lagrange system, symmetry checks, and the evaluation pairing treat
-them.
+them.  On-shell reduction orients each EL component by the kernel's graded
+partial derivative by its leading jet and builds the rule with kernel
+arithmetic, so no product or derivative rule is repeated here.
 
 A density is evaluated exactly on a polynomial section in two phases: a plan
 of the density alone, memoized on it, then one pass per section in integers.
@@ -37,10 +39,10 @@ from .core import (
     VAR,
     _make,
     _memo,
-    _merge_even,
     grading_of,
     invert_monomial,
     is_homogeneous_of,
+    partial_derivative,
     substitute,
 )
 from . import jetcalc
@@ -314,31 +316,16 @@ def _lead_key(atom: Atom):
 def _solve_for_leading(name: str, comp: tuple, el: Expression):
     """Orient EL = 0 as leading-coordinate -> lower terms; error if nonlinear.
 
-    The coefficient is read from the terms that hold the leading atom, with
-    the sign of a graded left derivative, and the rest are the other terms;
-    once the coefficient is an invertible parameter monomial, EL = coeff *
-    lead + rest, and the rule is lead -> -rest / coeff."""
+    The coefficient is the graded left partial derivative of EL by its leading
+    atom, so EL = lead * coeff + rest; once the coefficient is an invertible
+    parameter monomial, the rule is lead -> -rest / coeff."""
     sig = el.sig
     lead = max(el.jet_atoms(), key=_lead_key, default=None)
     if lead is None:
         raise NotSolvableError(
             f"EL for {name}{list(comp)} contains no jet coordinate to solve for"
         )
-    held, rest = [], []
-    for item in el._nums:
-        (even, odd), c = item
-        if lead in odd:
-            j = odd.index(lead)
-            held.append(((even, odd[:j] + odd[j + 1:]), -c if j % 2 else c))
-            continue
-        for i, (a, x) in enumerate(even):
-            if a == lead:
-                kept = even[:i] + ((a, x - 1),) if x != 1 else even[:i]
-                held.append(((kept + even[i + 1:], odd), c * x))
-                break
-        else:
-            rest.append(item)
-    coeff = Expression.from_terms(sig, held, el.den)
+    coeff = partial_derivative(el, lead)
     if lead in coeff.atoms():
         raise NotSolvableError(f"EL for {name}{list(comp)} is nonlinear in its leading coordinate")
     try:
@@ -347,10 +334,7 @@ def _solve_for_leading(name: str, comp: tuple, el: Expression):
         raise NotSolvableError(
             f"leading coefficient of EL for {name}{list(comp)} is not an invertible parameter monomial"
         ) from None
-    # -inv * rest, term by term: inv is one even parameter monomial
-    (((inverse, _), n),) = inv._nums
-    rhs = [((_merge_even(even, inverse), odd), -n * c) for (even, odd), c in rest]
-    return lead, Expression.from_terms(sig, rhs, inv.den * el.den)
+    return lead, -inv * (el - sig.from_atom(lead) * coeff)
 
 
 def _orient(lagrangian: Expression):
@@ -381,17 +365,19 @@ def _rule(atom: Atom, leads: list, max_order: int) -> Optional[Expression]:
     return None
 
 
-def on_shell_reduce(
-    e: Expression, theory: Theory, max_order: int, budget: int = 10_000
-) -> Expression:
+_REWRITE_BUDGET = 10_000
+
+
+def on_shell_reduce(e: Expression, theory: Theory, max_order: int) -> Expression:
     """Canonical representative of ``e`` modulo the EL ideal truncated at ``max_order``.
 
     The EL relations are oriented highest-coordinate to lower terms once per
     Lagrangian (``_orient``), and applied until a fixed point, highest
-    target first; a budget guards against non-terminating orientations.  A
-    target is a prolongation ``lead + alpha`` of an oriented lead up to
-    ``max_order`` (``_rule``), and its rule is derived the first time a
-    reduction meets it, then kept on the Lagrangian for that ``max_order``.
+    target first; ``_REWRITE_BUDGET`` rewrites guard against non-terminating
+    orientations.  A target is a prolongation ``lead + alpha`` of an oriented
+    lead up to ``max_order`` (``_rule``), and its rule is derived the first
+    time a reduction meets it, then kept on the Lagrangian for that
+    ``max_order``.
     """
     sig = theory.signature
     if e.sig != sig:
@@ -408,9 +394,9 @@ def on_shell_reduce(
                 hits.append(a)
         if not hits:
             return e
-        if steps >= budget:
+        if steps >= _REWRITE_BUDGET:
             raise RewriteBudgetError(
-                f"on-shell reduction did not terminate within {budget} steps"
+                f"on-shell reduction did not terminate within {_REWRITE_BUDGET} steps"
             )
         target = max(hits, key=_lead_key)
         e = substitute(e, {target: rules[target]})

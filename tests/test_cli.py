@@ -188,10 +188,42 @@ _U5 = "parse error: 1:3: component 5 of 'u' outside 1..3\n"
      (2, "parse error: component u[1] assigned twice\n")),
     (("symm", "free_particle.jv", "--q", "u[1]=1; u[1]=u[1]"),
      (2, "parse error: 1:9: component u[1] assigned twice\n")),
+    # a non-field on the left used to print "error: 'm' is not a field" (exit 3)
+    (("symm", "free_particle.jv", "--q", "m=1"), (2, "parse error: 1:1: 'm' is not a field\n")),
+    (("eval", "free.jv", "--section", "u=t; m=1", "--box", "t=0..1", "--param", "m=1"),
+     (2, "parse error: 1:6: 'm' is not a field\n")),
 ])
 def test_assignment_errors(argv, expected):
     command, model, *rest = argv
     assert run(command, str(MODELS / model), *rest) == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--box", "t=0..1", "--param", "m=1e999999999"), "bad rational value in 'm=1e999999999'"),
+    (("--box", "t=0..1e999999999", "--param", "m=1"),
+     "bad rational bounds in 't=0..1e999999999'"),
+    (("--box", "t=0..1", "--param", "m=1E3"), "bad rational value in 'm=1E3'"),
+])
+def test_eval_rejects_an_exponent_part(argv, message):
+    # Fraction("1e999999999") builds a billion-digit integer before anything is checked
+    assert run(*_EVAL, *argv) == (2, f"parse error: {message}\n")
+
+
+REDUCIBLE = """vars t, x, y
+field B[dim,dim]
+ghost C[dim]
+params m
+ghost E ghost=2 parity=even
+lagrangian 1/2*m*d(B[1,2];t)^2
+gauge C[mu]: d(EL(B[mu,nu]);nu)
+"""
+
+
+def test_ghost_without_gauge_block_is_placed_at_its_name(tmp_path):
+    # this used to be placed at 1:1
+    model = tmp_path / "reducible.jv"
+    model.write_text(REDUCIBLE)
+    assert run("master", str(model)) == (2, "parse error: 5:7: ghost 'E' has no gauge block\n")
 
 
 LAURENT = """vars t

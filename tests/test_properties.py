@@ -342,10 +342,34 @@ def _shared_lead_theory() -> Theory:
     return Theory(sig, lagrangian)
 
 
+def _odd_theory() -> Theory:
+    """u_t^2/2 + m*psi*psi_t + m*chi*chi_t + u*psi*chi: EL[psi] and EL[chi]
+    solve for odd leads, whose coefficients carry the Koszul sign of a left
+    derivative."""
+    sig = Signature(
+        [Generator("t", VAR), Generator("m", PARAM), Generator("u", FIELD)]
+        + [Generator(name, FIELD, grading=Grading(ODD, 0)) for name in ("psi", "chi")],
+        [1],
+    )
+    text = "1/2*d(u;t)^2 + m*psi*d(psi;t) + m*chi*d(chi;t) + u*psi*chi"
+    return Theory(sig, parse_expression(text, sig))
+
+
 # one Theory per Lagrangian for the whole session, so that calls with
 # different orders meet the orientation and rules kept by earlier calls
 ON_SHELL_THEORIES = {"wave2": _wave_theory(2), "wave3": _wave_theory(3),
-                     "shared_lead": _shared_lead_theory()}
+                     "shared_lead": _shared_lead_theory(), "odd": _odd_theory()}
+
+
+@pytest.mark.parametrize("lead, rule", [
+    ("d(chi;t)", "1/2 * m^-1 * u * psi"),
+    ("d(psi;t)", "-1/2 * m^-1 * u * chi"),
+    ("d(d(u;t);t)", "psi * chi"),
+])
+def test_odd_leads_keep_their_rules(lead, rule):
+    theory = _odd_theory()
+    reduced = on_shell_reduce(parse_expression(lead, theory.signature), theory, 1)
+    assert format_expression(reduced) == rule
 
 
 @pytest.mark.parametrize("name", sorted(ON_SHELL_THEORIES))

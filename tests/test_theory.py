@@ -246,14 +246,17 @@ class TestOnShellReduce:
             with pytest.raises(NotSolvableError, match=r"EL for u\[\] "):
                 on_shell_reduce(c("u"), theory, 2)
 
-    def test_budget_guard(self, mech):
+    def test_budget_guard(self, mech, monkeypatch):
         utt = mech.signature.coord("u", d=("t", "t"))
-        with pytest.raises(RewriteBudgetError):
-            on_shell_reduce(utt, mech, 2, budget=0)
+        with monkeypatch.context() as m:
+            m.setattr(theory_module, "_REWRITE_BUDGET", 0)
+            with pytest.raises(RewriteBudgetError):
+                on_shell_reduce(utt, mech, 2)
         # the kept rules change nothing about the budget
         assert on_shell_reduce(utt, mech, 2).is_zero()
+        monkeypatch.setattr(theory_module, "_REWRITE_BUDGET", 0)
         with pytest.raises(RewriteBudgetError):
-            on_shell_reduce(utt, mech, 2, budget=0)
+            on_shell_reduce(utt, mech, 2)
 
     def test_orientation_and_rules_are_kept_on_the_lagrangian(self, monkeypatch):
         phi4 = builtin("scalar_phi4", dim=2).theory
