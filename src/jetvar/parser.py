@@ -16,13 +16,14 @@ part of the name when the next character cannot start an operand, so
 ``u* * v`` and ``A*[0]`` are antifields while ``u*v`` is a product.
 
 An index identifier that names a declared variable refers to it; any other
-identifier is a summation letter.  A letter repeated within a multiplicative
-term is summed over its slot's range; when both slots are metric slots
-(derivative positions, or component slots declared ``dim``) each value
-contributes one inverse-metric diagonal factor.  ``eps[...]`` is the totally
-antisymmetric symbol on whatever range its letters are contracted against.
-A product contracts its own repeated letters: a letter summed in a nested
-product is summed there again, never bound by an enclosing product.
+identifier is a letter.  A bound letter (a def parameter, or one the caller's
+environment binds) is never summed; any other letter repeated within a term
+is summed over its slot's range, with one inverse-metric diagonal factor per
+value when both slots are metric slots (derivative positions, or component
+slots declared ``dim``).  ``eps[...]`` is the totally antisymmetric symbol
+on whatever range its letters are contracted against.  A product contracts
+its own repeated letters: a letter summed in a nested product is summed
+there again, never bound by an enclosing product.
 
 ``EL(`` always parses to an ``el`` node; the analysis rejects it outside
 operator mode.  Gauge operators are evaluated by the same product evaluator
@@ -223,12 +224,7 @@ class _Parser:
         atom = self.parse_atom()
         if self.peek().kind == "^":
             self.next()
-            sign = 1
-            if self.peek().kind == "-":
-                self.next()
-                sign = -1
-            exp = self.expect("int")
-            atom = Node("pow", (atom, sign * int(exp.text)), atom.line, atom.col)
+            atom = Node("pow", (atom, self.signed_int()), atom.line, atom.col)
         if negated:
             atom = Node("neg", atom, tok.line, tok.col)
         return atom
@@ -236,15 +232,14 @@ class _Parser:
     def parse_atom(self) -> Node:
         tok = self.peek()
         if tok.kind == "int":
-            self.next()
-            value = Fraction(int(tok.text))
+            num, den = self.integer(), 1
             if self.peek().kind == "/":
                 self.next()
-                den = self.expect("int")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.line, den.col)
-                value = Fraction(int(tok.text), int(den.text))
-            return Node("num", value, tok.line, tok.col)
+                at = self.peek()
+                den = self.integer()
+                if den == 0:
+                    raise ParseError("zero denominator", at.line, at.col)
+            return Node("num", Fraction(num, den), tok.line, tok.col)
         if tok.kind == "(":
             self.next()
             inner = self.parse_nested()
@@ -318,11 +313,20 @@ class _Parser:
         self.expect("]")
         return letters
 
+    def integer(self) -> int:
+        """The next token, which must be an integer literal, as an int."""
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() converts
+            raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                             tok.line, tok.col) from None
+
     def signed_int(self) -> int:
         negative = self.peek().kind == "-"
         if negative:
             self.next()
-        value = int(self.expect("int").text)
+        value = self.integer()
         return -value if negative else value
 
     def reference(self) -> Tuple[Token, List[Index]]:
@@ -339,8 +343,7 @@ class _Parser:
     def parse_index(self) -> Index:
         tok = self.peek()
         if tok.kind == "int":
-            self.next()
-            return Index("int", int(tok.text), tok.line, tok.col)
+            return Index("int", self.integer(), tok.line, tok.col)
         if tok.kind == "name":
             self.next()
             return Index("letter", tok.text, tok.line, tok.col)
@@ -357,6 +360,12 @@ class Slot(NamedTuple):
     lo: int
     hi: int
     metric: Optional[bool]  # None: wildcard (eps), inherits from its partner
+    checks: tuple = ()  # what every value in it must pass, see Expander._check_range
+
+
+def _merged(slots) -> Slot:
+    """One slot for the uses of a letter: the first's range, every one's checks."""
+    return slots[0]._replace(checks=tuple(dict.fromkeys(c for s in slots for c in s.checks)))
 
 
 class DefEntry(NamedTuple):
@@ -375,22 +384,23 @@ class _Plan(NamedTuple):
 
 
 class _Walk:
-    """State of one analysis pass over a root expression."""
+    """State of one analysis pass over a root expression or def body."""
 
     def __init__(self, bound):
-        self.bound = bound  # letters the caller's environment binds
+        self.bound = bound  # its parameters: never summed, exposed wherever used
         self.products = []  # (product, letter slots), in post-order
-        self.checks = {}  # bound letter -> static range checks its value must pass
 
 
 class Expander:
     """Evaluate an AST over a signature, expanding index sums and metric factors.
 
-    Each root expression is analysed once: every node's exposed letter slots,
-    its nesting depth with defs inlined, the static checks and the plan of
-    every product.  Evaluation reads the plans and never re-walks a subtree;
-    each def instance ``(name, parameter values)`` is evaluated once, which is
-    sound because a def body sees only its own parameters.
+    A root expression is analysed once, as a def body whose parameters are the
+    letters its environment binds: every node's exposed letter slots, its
+    nesting depth with defs inlined, the plan of every product, and every
+    index check, each through the slot the index fills.  Evaluation reads the
+    plans, checks nothing and never re-walks a subtree; each def instance
+    ``(name, parameter values)`` is evaluated once, which is sound because a
+    def body sees only its own parameters.
     """
 
     def __init__(self, sig: Signature, defs: Dict[str, DefEntry] = None, operator_mode=False):
@@ -402,15 +412,14 @@ class Expander:
         self.sig = sig
         self.defs = defs or {}
         self.operator_mode = operator_mode
-        self._roots: Dict[Node, frozenset] = {}  # analysed root -> its bound letters
         self._plans: Dict[Node, _Plan] = {}
-        self._bodies: Dict[str, tuple] = {}  # def -> (param slots, height, nonparam, checks)
+        self._bodies: Dict[tuple, tuple] = {}  # (body, params) -> (slots, height, nonparam)
         self._open: List[str] = []  # defs whose bodies are being analysed
         self._instances: Dict[tuple, Expression] = {}  # (def, parameter values) -> value
 
     def extended(self, sig: Signature) -> "Expander":
-        """An expander over a signature extending this one's that reuses its def
-        analyses and instances (moved over by ``_transfer``)."""
+        """An expander over a signature extending this one's that reuses its
+        analyses and def instances (moved over by ``_transfer``)."""
         other = Expander(sig, self.defs, self.operator_mode)
         other._plans = dict(self._plans)
         other._bodies = dict(self._bodies)
@@ -420,17 +429,41 @@ class Expander:
     # -- analysis --------------------------------------------------------------
 
     def _prepare(self, node: Node, env) -> None:
-        bound = frozenset(env)
-        if self._roots.get(node) != bound:
+        """Analyse a root whose parameters are the letters of ``env``, and
+        check their values as def arguments are checked."""
+        for letter, slot in self._body(node, tuple(env), 0)[0].items():
+            self._check_range(env[letter], slot.checks)
+
+    def _body(self, node: Node, params, level: int, use: Node = None):
+        """The cached analysis of a root or def body: the slot of every parameter
+        it uses, its height and whether it references a non-parameter.  ``use``
+        is the def reference an unused parameter is reported at (none for a root)."""
+        bound = frozenset(params)
+        info = self._bodies.get((node, bound))
+        if info is None:
             walk = _Walk(bound)
-            self._check_bound(node, self._analyse(node, 0, walk)[0], bound)
-            self._plan_products(walk)
-            self._roots[node] = bound
+            letters, height, nonparam = self._analyse(node, level, walk)
+            for param in params if use is not None else ():
+                if param not in letters:
+                    raise ParseError(
+                        f"def {use.data[0]!r} never uses index {param!r}", use.line, use.col
+                    )
+            self._check_bound(node, letters, bound)
+            # outer products first, so their errors win
+            for product, slots in reversed(walk.products):
+                self._plan(product, slots, bound)
+            letters = {k: _merged(v) for k, v in letters.items()}
+            info = self._bodies[node, bound] = (letters, height, nonparam)
+        elif level + info[1] - 1 > _Parser.MAX_NESTING:
+            # deeper here than where it was first analysed: walk it again at
+            # this depth to raise at the sum that is too deep
+            self._analyse(node, level, _Walk(bound))
+        return info
 
     def _analyse(self, node: Node, level: int, walk: _Walk):
         """Exposed letters with their slots, the number of nested sums (defs
-        inlined) and whether a non-parameter is referenced; runs the static
-        checks.  ``level`` counts the sums open above the node."""
+        inlined) and whether a non-parameter is referenced; checks every fixed
+        index.  ``level`` counts the sums open above the node."""
         kind = node.kind
         if kind == "num":
             return {}, 0, False
@@ -439,7 +472,7 @@ class Expander:
         if kind == "pow":
             base, exp = node.data
             letters, height, nonparam = self._analyse(base, level, walk)
-            if letters:
+            if not walk.bound.issuperset(letters):
                 raise ParseError(
                     "index letters cannot appear under an exponent", node.line, node.col
                 )
@@ -447,7 +480,7 @@ class Expander:
                 raise ParseError(
                     "negative exponents require a parameter monomial", node.line, node.col
                 )
-            return {}, height, nonparam
+            return letters, height, nonparam
         if kind == "sum":
             # one sum per '(' or 'd(' level and per def body, which counts as
             # if written inline in parentheses; this bounds evaluation depth
@@ -458,18 +491,21 @@ class Expander:
                     node.line,
                     node.col,
                 )
-            exposed, height, nonparam = None, 0, False
+            exposed, free, height, nonparam = {}, None, 0, False
             for _, term in node.data:
                 letters, h, n = self._analyse(term, level + 1, walk)
-                over = {k for k, v in letters.items() if len(v) == 1}
-                if exposed is None:
-                    exposed = {k: letters[k] for k in over}
-                elif set(exposed) != over:
+                over = {k for k, v in letters.items() if len(v) == 1 and k not in walk.bound}
+                if free is None:
+                    free = over
+                elif free != over:
                     raise ParseError(
                         "summands expose different free index letters", node.line, node.col
                     )
+                for k, v in letters.items():
+                    if k in over or k in walk.bound:
+                        exposed.setdefault(k, []).extend(v)
                 height, nonparam = max(height, h), nonparam or n
-            return exposed, height + 1, nonparam
+            return {k: [_merged(v)] for k, v in exposed.items()}, height + 1, nonparam
         if kind == "mul":
             letters, height, nonparam = {}, 0, False
             for f in node.data:
@@ -484,28 +520,25 @@ class Expander:
         if kind == "d":
             body, slot = node.data
             letters, height, _ = self._analyse(body, level, walk)
-            letters = {k: list(v) for k, v in letters.items()}
-            self._static_check(slot, [(0, self.sig.nvars - 1, slot, None)], walk)
-            for k, v in self._exposed([slot], [Slot(0, self.sig.nvars - 1, True)]).items():
+            hi = self.sig.nvars - 1
+            for k, v in self._exposed([slot], [Slot(0, hi, True, ((0, hi, slot, None),))]).items():
                 letters.setdefault(k, []).extend(v)
             return letters, height, True
         if kind in ("ref", "el"):
             # EL(u[...]) is checked like u[...]; its errors name u
             name, idx = node.data[:2]
             if kind == "ref" and name in self.defs:
-                return self._analyse_def_ref(node, level, walk)
+                return self._analyse_def_ref(node, level)
             if kind == "el" and not self.operator_mode:
                 raise ParseError(
                     "EL(...) is allowed only in gauge operators", node.line, node.col
                 )
             field = node.data[2] if kind == "el" else None
-            gen = self._check_reference(name, idx, node, walk, field)
-            metric = gen.metric_slots or (False,) * len(gen.index_ranges)
-            slots = [Slot(lo, hi, bool(ms)) for (lo, hi), ms in zip(gen.index_ranges, metric)]
-            return self._exposed(idx, slots), 0, kind == "el" or gen.role != PARAM
+            gen, letters = self._check_reference(name, idx, node, field)
+            return letters, 0, kind == "el" or gen.role != PARAM
         raise AssertionError(f"unhandled node {kind}")
 
-    def _analyse_def_ref(self, node: Node, level: int, walk: _Walk):
+    def _analyse_def_ref(self, node: Node, level: int):
         name, idx = node.data
         if name in self._open:
             raise ParseError(f"def {name!r} is recursive", node.line, node.col)
@@ -516,52 +549,30 @@ class Expander:
                 node.line,
                 node.col,
             )
-        info = self._bodies.get(name)
-        if info is None:
-            # a def argument ranges over whatever its use inside the body demands
-            inner = _Walk(frozenset(entry.params))
-            self._open.append(name)
-            try:
-                letters, height, nonparam = self._analyse(entry.body, level, inner)
-            finally:
-                self._open.pop()
-            for param in entry.params:
-                if param not in letters:
-                    raise ParseError(
-                        f"def {name!r} never uses index {param!r}", node.line, node.col
-                    )
-            self._check_bound(entry.body, letters, inner.bound)
-            self._plan_products(inner)
-            slots = [letters[param][0] for param in entry.params]
-            info = self._bodies[name] = (slots, height, nonparam, inner.checks)
-        slots, height, nonparam, checks = info
-        if level + height - 1 > _Parser.MAX_NESTING:
-            # deeper here than where it was first analysed: walk it again at
-            # this depth to raise at the sum that is too deep
-            self._analyse(entry.body, level, _Walk(frozenset(entry.params)))
-        for item, param in zip(idx, entry.params):
-            self._static_check(item, checks.get(param, []), walk)
-        return self._exposed(idx, slots), height, nonparam
+        # an argument fills a slot with the checks of every use of its parameter
+        self._open.append(name)
+        try:
+            slots, height, nonparam = self._body(entry.body, entry.params, level, node)
+        finally:
+            self._open.pop()
+        return self._exposed(idx, [slots[param] for param in entry.params]), height, nonparam
 
     def _exposed(self, idx: List[Index], slots) -> Dict[str, list]:
+        """The letters of ``idx`` with the slots they fill; every other index
+        is checked here against its slot's checks."""
         out = {}
         for item, slot in zip(idx, slots):
             if item.kind == "letter" and not self._is_variable(item.value):
                 out.setdefault(item.value, []).append(slot)
+            else:
+                self._check_range(self._index_value(item, {}), slot.checks)
         return out
 
-    def _static_check(self, item: Index, checks, walk: _Walk) -> None:
-        """Range checks of an index: now if its value is known, else recorded
-        for a bound letter (a def parameter checked at each use of the def)."""
-        if item.kind == "int" or self._is_variable(item.value):
-            self._check_range(self._index_value(item, {}), checks)
-        elif item.value in walk.bound:
-            walk.checks.setdefault(item.value, []).extend(checks)
-
-    def _check_reference(self, name: str, idx, at, walk: _Walk, field=None) -> Generator:
-        """The static check of a generator reference ``name[idx]``, its errors
-        at ``at``: declared, a field if ``field`` (the name's token) is given,
-        one index per slot, and every fixed index in range."""
+    def _check_reference(self, name: str, idx, at, field=None):
+        """The generator of a reference ``name[idx]`` and the letters its
+        indices expose, its errors at ``at``: declared, a field if ``field``
+        (the name's token) is given, one index per slot, and every fixed
+        index in range."""
         if not self.sig.has_generator(name):
             raise UndeclaredIdentifierError(f"undeclared identifier {name!r}", at.line, at.col)
         gen = self.sig.generator(name)
@@ -572,9 +583,10 @@ class Expander:
             raise IndexRangeError(
                 f"{name!r} takes {len(gen.index_ranges)} indices{got}", at.line, at.col
             )
-        for item, (lo, hi) in zip(idx, gen.index_ranges):
-            self._static_check(item, [(lo, hi, item, name)], walk)
-        return gen
+        metric = gen.metric_slots or (False,) * len(gen.index_ranges)
+        slots = [Slot(lo, hi, bool(ms), ((lo, hi, item, name),))
+                 for (lo, hi), ms, item in zip(gen.index_ranges, metric, idx)]
+        return gen, self._exposed(idx, slots)
 
     def _check_range(self, value: int, checks) -> None:
         """``checks`` are (lo, hi, index, generator name, or None for a derivative slot)."""
@@ -593,13 +605,8 @@ class Expander:
             if letter not in bound:
                 raise ParseError(f"unbound index letter {letter!r}", node.line, node.col)
 
-    def _plan_products(self, walk: _Walk) -> None:
-        # every product contracts its own repeated letters, so only the root
-        # environment binds; outer products first, so their errors win
-        for node, letters in reversed(walk.products):
-            self._plan(node, letters, walk.bound)
-
     def _plan(self, node: Node, letters, bound) -> None:
+        # every product contracts its own repeated letters, never a bound one
         pairs = []
         for letter, slots in sorted(letters.items()):
             if letter in bound or len(slots) == 1:
@@ -618,6 +625,8 @@ class Expander:
                 raise IndexRangeError(
                     f"index letter {letter!r} joins slots of different ranges", node.line, node.col
                 )
+            for v in range(ref.lo, ref.hi + 1):
+                self._check_range(v, a.checks + b.checks)
             # one inverse-metric factor only when both occurrences sit in metric
             # slots, a mixed pair is a plain duality pairing; operator indices
             # pair with the EL system, so they carry no metric at all
@@ -708,7 +717,7 @@ class Expander:
             return self.sig.const(_eps_sign(values))
         if kind == "d":
             body, slot = node.data
-            pos = self._slot_position(slot, env)
+            pos = self._index_value(slot, env)
             return jetcalc.total_derivative(self._eval_factor(body, env), pos)
         if kind in ("ref", "el"):
             return self._eval_ref(node, env)
@@ -719,23 +728,13 @@ class Expander:
             return item.value
         if self._is_variable(item.value):
             return self.sig.var_position(item.value)
-        if item.value in env:
-            return env[item.value]
-        raise ParseError(f"unbound index letter {item.value!r}", item.line, item.col)
-
-    def _slot_position(self, item: Index, env) -> int:
-        v = self._index_value(item, env)
-        self._check_range(v, [(0, self.sig.nvars - 1, item, None)])
-        return v
+        return env[item.value]
 
     def _eval_ref(self, node: Node, env) -> Expression:
         name, idx = node.data[:2]
         values = tuple(self._index_value(item, env) for item in idx)
         entry = self.defs.get(name)
         if entry is None:
-            gen = self.sig.generator(name)
-            for v, (lo, hi), item in zip(values, gen.index_ranges, idx):
-                self._check_range(v, [(lo, hi, item, name)])
             if node.kind == "el":
                 name = f"EL({name})"
             return self.sig.from_atom(self.sig.atom(name, values))
@@ -855,7 +854,7 @@ def parse_assignments(text: str, context) -> Dict[tuple, Expression]:
         parser.expect("=")
         body = parser.parse_full()
         expander = Expander(sig)
-        gen = expander._check_reference(head.text, idx, head, _Walk(frozenset()), head)
+        gen = expander._check_reference(head.text, idx, head, head)[0]
         letters = []
         for item, (lo, hi) in zip(idx, gen.index_ranges):
             if item.kind == "letter" and not expander._is_variable(item.value):
@@ -896,9 +895,9 @@ def _parse_range(parser: _Parser):
             raise ParseError(f"expected a range, got {tok.text!r}", tok.line, tok.col)
         parser.next()
         return _RANGE_DIM
-    lo = int(parser.expect("int").text)
+    lo = parser.integer()
     parser.expect("..")
-    hi = int(parser.expect("int").text)
+    hi = parser.integer()
     if lo > hi:
         raise IndexRangeError(f"empty range {lo}..{hi}", tok.line, tok.col)
     return (lo, hi)
@@ -910,8 +909,8 @@ def _metric_entry(parser: _Parser) -> Fraction:
     den = 1
     if parser.peek().kind == "/":
         parser.next()
-        den_tok = parser.expect("int")
-        den = int(den_tok.text)
+        den_tok = parser.peek()
+        den = parser.integer()
         if den == 0:
             raise ParseError("metric entry has denominator 0", den_tok.line, den_tok.col)
     if num == 0:
@@ -1105,10 +1104,10 @@ def parse_model(text: str):
     if builder.gauge_lines or builder.master_ast is not None or builder.ghost_specs:
         model = _bv_model(builder, model, expanders)
     # a def that no line expanded is analysed as a use of it in the lagrangian
-    used = set().union(*(x._bodies for x in expanders))
+    used = {body for x in expanders for body, _ in x._bodies}
     for name, use in builder.def_uses.items():
-        if name not in used:
-            expanders[0]._prepare(use, builder.defs[name].params)
+        if builder.defs[name].body not in used:
+            expanders[0]._body(use, builder.defs[name].params, 0)
     return model
 
 

@@ -192,10 +192,44 @@ _U5 = "parse error: 1:3: component 5 of 'u' outside 1..3\n"
     (("symm", "free_particle.jv", "--q", "m=1"), (2, "parse error: 1:1: 'm' is not a field\n")),
     (("eval", "free.jv", "--section", "u=t; m=1", "--box", "t=0..1", "--param", "m=1"),
      (2, "parse error: 1:6: 'm' is not a field\n")),
+    # a left-side letter is checked where the right side uses it, behind a zero
+    # factor too: that used to print "error: no characteristic ..." (exit 3)
+    (("symm", "yang_mills_su2.jv", "--q", "A[1,mu]=A[mu,0]"),
+     (2, "parse error: 1:11: component 0 of 'A' outside 1..3\n")),
+    (("symm", "yang_mills_su2.jv", "--q", "A[1,mu]=A[mu,0]*0"),
+     (2, "parse error: 1:11: component 0 of 'A' outside 1..3\n")),
 ])
 def test_assignment_errors(argv, expected):
     command, model, *rest = argv
     assert run(command, str(MODELS / model), *rest) == expected
+
+
+def test_assignment_letters_are_never_summed():
+    # u[a]*u[a] is u[a]^2 for each component a, not a sum over a
+    argv = ("symm", str(MODELS / "free_particle.jv"), "--q", "u[a]=u[a]*u[a] + t")
+    terms = [f"2 * m * u[{i}] * d(u[{i}];t)^2 + m * d(u[{i}];t)" for i in (1, 2, 3)]
+    assert run(*argv) == (1, f"symmetry: no\npr X(L) = {' + '.join(terms)}\n")
+
+
+@pytest.mark.parametrize("lines, argv, where", [
+    ("", ("divergence", "--expr", "{n}*u"), "1:1"),
+    ("", ("divergence", "--expr", "u^{n}"), "1:3"),
+    ("", ("divergence", "--expr", "1/{n}*u"), "1:3"),
+    ("", ("divergence", "--expr", "d(u;{n})"), "1:5"),
+    ("", ("divergence", "--expr", "u[{n}]"), "1:3"),
+    ("metric diag({n})\n", ("el",), "2:13"),
+    ("field w[1..{n}]\n", ("el",), "2:12"),
+    ("ghost C ghost={n}\n", ("el",), "2:15"),
+])
+def test_integer_literals_too_long_to_convert(tmp_path, lines, argv, where):
+    # {n} has more digits than Python 3.11 converts to an int; each of these
+    # used to print "internal error: ValueError: Exceeds the limit ..." (exit 4)
+    n = "1" * 5000
+    model = tmp_path / "long.jv"
+    model.write_text(f"vars t\n{lines.format(n=n)}field u\nlagrangian d(u;t)^2\n")
+    command, *rest = argv
+    assert run(command, str(model), *(arg.format(n=n) for arg in rest)) == (
+        2, f"parse error: {where}: integer literal of 5000 digits is too long\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,5 +1,7 @@
 """Expression grammar, Einstein expansion, model files, and error positions."""
 
+import ast
+import pathlib
 from collections import Counter
 from fractions import Fraction
 
@@ -137,6 +139,28 @@ class TestEinstein:
         with pytest.raises(ParseError):
             parse_expression("u[i]^2", theory)
 
+    def test_bound_letters_are_never_summed(self):
+        # a def parameter or a left-side letter takes its value wherever it
+        # appears, also under '^', and need not occur in every summand
+        theory = parse_model(
+            "vars t\nfield u[1..3]\ndef sq[a] = u[a]*u[a]\nlagrangian sq[1] + 2*sq[2] + 3*sq[3]\n"
+        )
+        u = [theory.signature.coord("u", (i,)) for i in (1, 2, 3)]
+        assert theory.lagrangian == u[0] ** 2 + u[1] ** 2 * 2 + u[2] ** 2 * 3
+        particle = builtin("free_particle").theory
+        sig = particle.signature
+        t = sig.coord("t")
+        for text, value in [
+            ("u[a]=u[a]*u[a] + u[a]", lambda x: x * x + x),
+            ("u[a]=u[a] + t", lambda x: x + t),
+            ("u[a]=u[a]^2", lambda x: x * x),
+            ("u[a]=(u[a]*u[a])^2", lambda x: x ** 4),
+        ]:
+            expected = {("u", (i,)): value(sig.coord("u", (i,))) for i in (1, 2, 3)}
+            assert parse_assignments(text, particle) == expected, text
+        with pytest.raises(ParseError, match="summands expose different free index letters"):
+            parse_assignments("u[a]=u[a] + u[b]", particle)
+
 
 class TestErrors:
     def test_caret_position_on_unclosed_paren(self, free):
@@ -238,6 +262,11 @@ class TestStaticChecks:
             # a def argument fails where the body uses it, as when evaluated
             ("K[3]*0", "component 3 of 'u' outside 1..2", (3, 14)),
             ("0*K[3]", "component 3 of 'u' outside 1..2", (3, 14)),
+            # a summed letter is checked for every value, through every summand
+            # and def body it reaches, as it is without the zero factor
+            ("(u[b] + d(u[1];b))*u[b]*0", "derivative slot 1 outside the 1 declared variables",
+             (4, 27)),
+            ("(d(u[1];b) + K[b])*d(u[1];b)*0", "component 0 of 'u' outside 1..2", (3, 14)),
         ],
     )
     def test_ranges_are_checked_in_every_factor_order(self, lagrangian, message, where):
@@ -246,7 +275,13 @@ class TestStaticChecks:
         assert (err.value.line, err.value.column) == where
 
     @pytest.mark.parametrize(
-        "gauge, where", [("EL(u[g])", (5, 18)), ("0*EL(u[3]) + EL(u[1])", (5, 20))]
+        "gauge, where",
+        [
+            ("EL(u[g])", (5, 18)),
+            ("0*EL(u[3]) + EL(u[1])", (5, 20)),
+            # a gauge-header letter is checked like a def argument
+            ("EL(u[g])*0 + EL(u[1])", (5, 18)),
+        ],
     )
     def test_el_components_are_checked_like_references(self, gauge, where):
         # the error names the field, not its formal EL coordinate
@@ -272,6 +307,34 @@ class TestStaticChecks:
     def test_product_checks_do_not_stop_at_a_zero_factor(self, lagrangian, error):
         with pytest.raises(ParseError, match=error):
             parse_model(self.U2 + f"lagrangian {lagrangian}\n")
+
+
+def test_evaluation_checks_no_index():
+    # every index is checked once, at analysis, through the slot it fills
+    tree = ast.parse(pathlib.Path(parser.__file__).read_text())
+    expander = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Expander")
+    methods = {f.name: f for f in expander.body if isinstance(f, ast.FunctionDef)}
+    for name in ("_eval", "_eval_product", "_eval_factor", "_eval_ref", "_index_value",
+                 "operator_table"):
+        called = {n.attr for n in ast.walk(methods[name]) if isinstance(n, ast.Attribute)}
+        assert "_check_range" not in called, name
+
+
+def test_a_parameter_carries_each_check_once(monkeypatch):
+    # D{i}[a] = D{i-1}[a] + D{i-1}[a]: the checks of a used to double with
+    # every def, 2^20 of them at the use of D20
+    sizes = []
+    check = parser.Expander._check_range
+
+    def counted(self, value, checks):
+        sizes.append(len(checks))
+        return check(self, value, checks)
+
+    monkeypatch.setattr(parser.Expander, "_check_range", counted)
+    lines = ["vars t", "field u[1..2]", "def D0[a] = u[a]"]
+    lines += [f"def D{i}[a] = D{i - 1}[a] + D{i - 1}[a]" for i in range(1, 21)]
+    parse_model("\n".join(lines + ["lagrangian D20[1]", ""]))
+    assert max(sizes) == 1
 
 
 def _count_parse_work(monkeypatch, source):
