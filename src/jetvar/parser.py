@@ -888,11 +888,13 @@ _DECLARATIONS = ("vars", "metric", "params", "field", "ghost")
 _ONCE = ("metric", "lagrangian", "master")
 
 
-def _parse_range(parser: _Parser):
+def _parse_range(parser: _Parser, nvars: int):
     tok = parser.peek()
     if tok.kind == "name":
         if tok.text != "dim":
             raise ParseError(f"expected a range, got {tok.text!r}", tok.line, tok.col)
+        if not nvars:
+            raise ParseError("'dim' before any 'vars' statement", tok.line, tok.col)
         parser.next()
         return _RANGE_DIM
     lo = parser.integer()
@@ -922,7 +924,7 @@ def _parse_generator_line(parser: _Parser, name: str, role: str, nvars: int):
     ranges = []
     if parser.peek().kind == "[":
         parser.next()
-        ranges = parser.comma_list(lambda: _parse_range(parser))
+        ranges = parser.comma_list(lambda: _parse_range(parser, nvars))
         parser.expect("]")
     parity = ODD if role == GHOST else EVEN
     ghost_number = 1 if role == GHOST else 0
@@ -943,6 +945,11 @@ def _parse_generator_line(parser: _Parser, name: str, role: str, nvars: int):
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+    if role == FIELD and ghost_number < 0:
+        # its antifield would not have a negative ghost number; such a field (an
+        # antighost) has a meaning only with gauge fixing, which jetvar does not do
+        raise ParseError(f"field {name!r} must have ghost number >= 0",
+                         ghost_tok.line, ghost_tok.col)
     try:
         return Generator(
             name,

@@ -24,10 +24,26 @@ def _plain_atom(e_sig, atom: Atom) -> str:
     return text
 
 
+_CHUNK = 10 ** 4000  # within the 4300 digits that ``str`` converts at most
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of an int of any length, converted 4000 digits at a time."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    chunks = []
+    rest = abs(n)
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(f"{low:04000d}")
+    chunks.append(str(rest if n >= 0 else -rest))
+    return "".join(reversed(chunks))
+
+
 def _plain_coeff(c: Fraction) -> str:
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
 
 
 def _latex_atom(sig, atom: Atom) -> str:
@@ -54,8 +70,8 @@ def _latex_atom(sig, atom: Atom) -> str:
 
 def _latex_coeff(c: Fraction) -> str:
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+        return _decimal(c.numerator)
+    return f"\\frac{{{_decimal(c.numerator)}}}{{{_decimal(c.denominator)}}}"
 
 
 # per style: atom and coefficient renderers, power format, product separator
@@ -68,7 +84,8 @@ _STYLES = {
 def _monomial(sig, m: Monomial, style) -> str:
     """A monomial without its sign, in one style."""
     atom, coeff_text, power, times = style
-    factors = [atom(sig, a) if x == 1 else power.format(atom(sig, a), x) for a, x in m.even]
+    factors = [atom(sig, a) if x == 1 else power.format(atom(sig, a), _decimal(x))
+               for a, x in m.even]
     factors += [atom(sig, a) for a in m.odd]
     coeff = abs(m.coeff)
     if not factors:

@@ -9,16 +9,15 @@ partial derivative by its leading jet and builds the rule with kernel
 arithmetic, so no product or derivative rule is repeated here.
 
 A density is evaluated exactly on a polynomial section in two phases: a plan
-of the density alone, memoized on it, then one pass per section in integers.
-There is one evaluator, ``_evaluate``, and one integrator, ``_integrate``.
-From the section's values to the box integral a term is one int, the
-exponents of the variables and the parameters as balanced digits, with an
-integer numerator: the jets are derived, multiplied and integrated in that
-form, and an ``Expression`` is built only where one is returned.
-``evaluate_density`` unpacks the evaluator's terms, ``integrate_box_polynomial``
-packs a polynomial for the integrator, ``integrate_on_box_expression`` hands
-the one to the other, and ``integrate_on_box`` evaluates that at the bound
-parameters.
+of the density alone, memoized on it, then one pass per section in integers,
+which sums the density in Horner form over the plan's trie of leading factors
+and one common denominator.  There is one evaluator, ``_evaluate``, and one
+integrator, ``_integrate``: from the section's values to the box integral a
+term is one int, the exponents of the variables and the parameters as
+balanced digits, with an integer numerator.  ``evaluate_density`` unpacks the
+evaluator's terms, ``integrate_box_polynomial`` packs a polynomial for the
+integrator, ``integrate_on_box_expression`` hands the one to the other, and
+``integrate_on_box`` evaluates that at the bound parameters.
 """
 
 from __future__ import annotations
@@ -466,57 +465,63 @@ def _balanced(packed: int, base: int, count: int) -> list:
 
 def _plan(density: Expression):
     """What ``_evaluate`` reads of the density alone, memoized: the atoms of
-    ``_digits``, its jet atoms in canonical order, the leading-factor trie as
-    ``(parent, factor)`` entries (node i is entry i - 1, node 0 the empty
-    product), ``(numerator, node)`` per monomial without odd factors, and the
-    largest sum of absolute exponents of such a monomial.  This is the
-    codebase's only trie of shared products."""
-    root, nodes, monomials = {}, [], []
-    width = 0
+    ``_digits``, its jet atoms in canonical order, the trie of leading factors
+    as ``(parent, factor index)`` per node (node i is entry i - 1, node 0 the
+    empty product), the distinct factors, the weights ``{node: (numerator,
+    top - d)}`` of the monomials without odd factors by the node each ends at
+    (d is the jet degree, top the largest; a constant ends at the root), their
+    largest sum of absolute exponents, and top.  The only trie in jetvar."""
+    jets = density.jet_atoms()
+    root, nodes, factors, weights, sizes = {}, [], {}, {}, [(0, 0)]
     for (even, odd), c in density._nums:
         if not odd:
             node, index = root, 0
             for factor in even:
                 if factor not in node:
-                    nodes.append((index, factor))
+                    (a, x), (d, w) = factor, sizes[index]
+                    nodes.append((index, factors.setdefault(factor, len(factors))))
+                    sizes.append((d + x * (a in jets), w + abs(x)))  # jet degree, width
                     node[factor] = (len(nodes), {})
                 index, node = node[factor]
-            monomials.append((c, index))
-            width = max(width, sum(abs(x) for _, x in even))
-    return _digits(density.sig), sorted(density.jet_atoms()), nodes, monomials, width
+            weights[index] = c
+    top = max([sizes[i][0] for i in weights], default=0)
+    weights = {i: (c, top - sizes[i][0]) for i, c in weights.items()}
+    width = max(w for _, w in sizes)
+    return _digits(density.sig), sorted(jets), nodes, list(factors), weights, width, top
 
 
 def _evaluate(density: Expression, section: Section):
     """The density on the section as packed terms ``(digits, base, terms, den)``.
 
     A term is one int ``sum x_i * base**i`` over the exponents x_i of the
-    atoms in ``digits``, with a numerator over ``den``.  Every digit, also of
-    a partial product, is below ``base / 2`` in absolute value (a parameter
-    may have a negative exponent), so the product of two terms is the sum of
-    their ints.  That holds with ``base / 2 - 1`` the density's largest sum
-    of absolute exponents of a monomial times the largest of an image: a
-    jet's is at most its value's less the jet's order, and a variable's or a
-    parameter's is 1.  Each section component is read once, and ``D_alpha``
-    of a term lowers each variable's exponent e by k and multiplies by
-    e!/(e-k)!.  The plan shares the products of leading factors through a
-    trie; each factor's power is built once, and a monomial with an odd
-    factor, or under a zero product, contributes nothing: a section is zero
-    on every field not of grading (even, 0, 0).
+    atoms in ``digits``, with a numerator over ``den``.  Every digit is below
+    ``base / 2`` in absolute value, so the product of two terms is the sum of
+    their ints: each partial sum is a sum of sub-products of one monomial's
+    factors, and ``base / 2 - 1`` is the density's largest sum of absolute
+    exponents of a monomial times the largest of an image (a jet's is at most
+    its value's less the jet's order; a variable's or a parameter's is 1).
+    Each component is read once, over the lcm D of the components'
+    denominators; ``D_alpha`` of a term lowers each variable's exponent e by
+    k and multiplies by e!/(e-k)!.  The sum is in Horner form over the plan's
+    trie: each factor's power is built once, and from the leaves up a live
+    node (no power on its path is zero) adds its weight times D**(top - d)
+    and its subtree's sum, each times its power, into its parent's sum, over
+    D**top at the root.  A section is zero on every field not of grading
+    (even, 0, 0), so a monomial with an odd factor contributes nothing.
     """
-    sig = density.sig
-    digits, jet_atoms, nodes, monomials, width = _memo(density, _plan)
+    digits, jet_atoms, nodes, factors, weights, width, top = _memo(density, _plan)
     position = {a.gen: i for i, a in enumerate(digits)}
     values = {}  # (generator, component) -> rows, numerators, degree, denominator
     for atom in jet_atoms:
-        gen = sig.generators[atom.gen]
+        gen = density.sig.generators[atom.gen]
         if gen.role != FIELD:
-            raise UnknownGeneratorError(
-                f"cannot evaluate {gen.role} coordinate {gen.name!r} on a section"
-            )
+            raise UnknownGeneratorError(f"cannot evaluate {gen.role} coordinate "
+                                        f"{gen.name!r} on a section")
         key = (atom.gen, atom.comp)
         if key not in values:
             value = section.value(gen.name, atom.comp)
             values[key] = *_read(value, position), value.den
+    common = math.lcm(*[den for *_, den in values.values()])
     degree = max([1] + [values[a.gen, a.comp][2] - a.order for a in jet_atoms])
     base = 2 * width * degree + 2
     scale = [base ** i for i in range(len(digits))]
@@ -525,65 +530,60 @@ def _evaluate(density: Expression, section: Section):
     for atom in jet_atoms:
         key = (atom.gen, atom.comp)
         rows, nums, _, den = values[key]
-        if atom.order:
-            shift = _pack(atom.mindex, scale)
-            counts = [(v, k) for v, k in enumerate(atom.mindex) if k]
-            terms = []
-            for p, exps, n in zip(ints[key], rows, nums):
-                for v, k in counts:
-                    if exps[v] < k:
-                        break
-                    n *= math.perm(exps[v], k)
-                else:
-                    terms.append((p - shift, n))
-            terms = tuple(terms)
-        else:
-            terms = tuple(zip(ints[key], nums))
-        images[atom] = terms, den
+        lift = common // den
+        if not atom.order:
+            images[atom] = {p: n * lift for p, n in zip(ints[key], nums)}
+            continue
+        shift = _pack(atom.mindex, scale)
+        counts = [(v, k) for v, k in enumerate(atom.mindex) if k]
+        image = images[atom] = {}
+        for p, exps, n in zip(ints[key], rows, nums):
+            for v, k in counts:
+                if exps[v] < k:
+                    break
+                n *= math.perm(exps[v], k)
+            else:
+                image[p - shift] = n * lift
 
-    powers = {}
-    products = [(((0, 1),), 1)]
-    for parent, factor in nodes:
-        product = products[parent]
-        if product[0]:
-            f = powers.get(factor)
-            if f is None:
-                a, x = factor
-                if a in images:
-                    f = img = images[a]
-                    for _ in range(x - 1):
-                        f = _packed_mul(f, img)
-                else:  # a variable or a parameter, possibly with a negative exponent
-                    f = (((x * scale[position[a.gen]], 1),), 1)
-                powers[factor] = f
-            product = f if parent == 0 else _packed_mul(product, f)
-        products.append(product)
-    live = [(c, products[node]) for c, node in monomials if products[node][0]]
-    den = math.lcm(*[d for _, (_, d) in live])
-    acc = {}
+    powers, live = [None] * len(factors), [True]
+    for parent, k in nodes:
+        f = powers[k]
+        if f is None and live[parent]:
+            a, x = factors[k]
+            if a in images:
+                f = img = images[a]
+                for _ in range(x - 1):
+                    f = _packed_mul(f, img, {})
+            else:  # a variable or a parameter, possibly with a negative exponent
+                f = {x * scale[position[a.gen]]: 1}
+            powers[k] = f
+        live.append(live[parent] and bool(f))
+    lifts = [common ** e for e in range(top + 1)]
+    sums = [{0: weights[0][0] * lifts[top]} if 0 in weights else {}] + [None] * len(nodes)
+    for i in range(len(nodes), 0, -1):
+        total, weight = sums[i], weights.get(i)
+        if live[i] and (total or weight):
+            parent, k = nodes[i - 1]
+            f = powers[k]
+            acc = sums[parent] = sums[parent] or {}
+            if weight:
+                c, e = weight
+                w, get = c * lifts[e], acc.get
+                for p, n in f.items():
+                    acc[p] = get(p, 0) + n * w
+            if total:
+                _packed_mul(f, total, acc)
+    return digits, base, sums[0].items(), density.den * lifts[top]
+
+
+def _packed_mul(f: dict, g: dict, acc: dict) -> dict:
+    """The product of two packed ``{packed: numerator}`` dicts, added into ``acc``."""
     get = acc.get
-    for c, (terms, d) in live:
-        weight = c * (den // d)
-        for key, n in terms:
-            acc[key] = get(key, 0) + weight * n
-    return digits, base, acc.items(), density.den * den
-
-
-def _packed_mul(f, g):
-    """Product of two packed polynomials of ``_evaluate``."""
-    (left, d1), (right, d2) = f, g
-    if len(left) < len(right):
-        left, right = right, left
-    if len(right) == 1:  # a shift of every term: no two meet, none cancels
-        ((p2, n2),) = right
-        return tuple([(p1 + p2, n1 * n2) for p1, n1 in left]), d1 * d2
-    acc = {}
-    get = acc.get
-    for p1, n1 in left:
-        for p2, n2 in right:
+    for p1, n1 in f.items():
+        for p2, n2 in g.items():
             p = p1 + p2
             acc[p] = get(p, 0) + n1 * n2
-    return tuple([item for item in acc.items() if item[1]]), d1 * d2
+    return acc
 
 
 def evaluate_density(density_expr: Expression, section: Section) -> Expression:

@@ -1,5 +1,6 @@
 """CLI subcommands, report text, and exit codes."""
 
+import decimal
 import io
 import os
 import pathlib
@@ -232,6 +233,30 @@ def test_integer_literals_too_long_to_convert(tmp_path, lines, argv, where):
         2, f"parse error: {where}: integer literal of 5000 digits is too long\n")
 
 
+def _digits(n: int) -> str:
+    # str(n) refuses more than 4300 digits; Decimal at a precision above n's length is exact
+    with decimal.localcontext() as context:
+        context.prec = 10 ** 5
+        return f"{decimal.Decimal(n):f}"
+
+
+_N = int("9" * 4000)
+
+
+@pytest.mark.parametrize("expr, style, el", [
+    ("2^20000*u", (), _digits(2 ** 20000)),
+    ("2^20000*u", ("--latex",), _digits(2 ** 20000)),
+    ("7^-6000*u", (), f"1/{_digits(7 ** 6000)}"),
+    ("7^-6000*u", ("--latex",), f"\\frac{{1}}{{{_digits(7 ** 6000)}}}"),
+    (f"(u^{_N})^{_N}", (), f"{_digits(_N ** 2)} * u^{_digits(_N ** 2 - 1)}"),
+], ids=["numerator", "numerator-latex", "denominator", "denominator-latex", "exponent"])
+def test_integers_of_more_than_4300_digits_are_printed(expr, style, el):
+    # these reports stopped after their first line with "internal error:
+    # ValueError: Exceeds the limit (4300 digits) ..." (exit 4)
+    assert run("divergence", str(MODELS / "free.jv"), "--expr", expr, *style) == (
+        1, f"total divergence: no\nEL[u] = {el}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--box", "t=0..1", "--param", "m=1e999999999"), "bad rational value in 'm=1e999999999'"),
     (("--box", "t=0..1e999999999", "--param", "m=1"),
@@ -458,12 +483,39 @@ def test_statements_out_of_place_are_parse_errors(tmp_path, model, text):
          "2:13: metric diagonal entries must be nonzero"),
         ("vars t\nmetric diag(1, -1)\nfield u\nlagrangian u*u\n",
          "2:1: metric has 2 entries for 1 variables"),
+        # this was "internal error: AttributeError: ..." (exit 4)
+        ("field u[dim]\nvars t\nlagrangian u[0]\n", "1:9: 'dim' before any 'vars' statement"),
     ],
 )
 def test_declaration_errors_point_at_their_cause(tmp_path, model, text):
     path = tmp_path / "declarations.jv"
     path.write_text(model)
     assert run("el", str(path)) == (2, f"parse error: {text}\n")
+
+
+ANTIGHOST = """vars t, x
+metric diag(1, -1)
+field A[dim]
+field Cb parity=odd ghost=-1
+field b
+ghost C
+def F[mu,nu] = d(A[nu];mu) - d(A[mu];nu)
+lagrangian -1/4 * F[mu,nu]*F[mu,nu]
+gauge C: -d(EL(A[nu]); nu)
+master -1/4 * F[mu,nu]*F[mu,nu] + A*[mu] * d(C;mu) + Cb* * b
+"""
+
+
+@pytest.mark.parametrize("argv", [("el",), ("master",), ("kt", "--expr", "b"),
+                                  ("brst", "--expr", "b")])
+def test_a_field_of_negative_ghost_number_is_a_parse_error(tmp_path, argv):
+    # every command stopped with "internal error: ValueError: antifield 'Cb*'
+    # must have ghost number <= -1" (exit 4) when the BV extension was built
+    path = tmp_path / "antighost.jv"
+    path.write_text(ANTIGHOST)
+    command, *rest = argv
+    assert run(command, str(path), *rest) == (
+        2, "parse error: 4:27: field 'Cb' must have ghost number >= 0\n")
 
 
 @pytest.mark.parametrize(

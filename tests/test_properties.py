@@ -918,6 +918,39 @@ def test_evaluate_density_equals_substitution_of_the_jets(n, data):
     _assert_normal(got)
 
 
+@st.composite
+def shared_prefixes(draw, sig, names, max_terms=6):
+    """Terms over one pool of at most three atoms, each times m^-k with k in
+    0..1, so that many share leading factors of the evaluator's trie (the
+    terms of ``laurent`` rarely do) and some end where others go on."""
+    pool = draw(st.lists(atoms(sig, names), min_size=1, max_size=3, unique=True))
+    m = sig.from_atom(sig.atom("m"))
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        term = sig.const(draw(coefficients))
+        for a in pool:
+            term = term * sig.from_atom(a) ** draw(st.integers(0, 2))
+        terms.append(term * invert_monomial(m ** draw(st.integers(0, 1))))
+    return Expression.sum(sig, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_evaluate_density_sums_shared_prefixes_as_substitution_does(n, data):
+    # the evaluator sums each subtree of the trie once, then multiplies it by
+    # its leading power: substitute of the jets is the reference
+    sig = SIGS[n]
+    names = tuple(v.name for v in sig.variables) + ("m", "u", "v")
+    density = data.draw(shared_prefixes(sig, names))
+    section = data.draw(laurent_sections(sig))
+    got = evaluate_density(density, section)
+    assert got == substitute(density, _jets(density, section))
+    _assert_normal(got)
+    box = data.draw(boxes(sig))
+    assert integrate_on_box_expression(density, section, box) == integrate_box_polynomial(got, box)
+
+
 def _integral_reference(e: Expression, box: dict) -> Expression:
     """Term by term with ``Fraction`` moments (hi^(k+1) - lo^(k+1)) / (k+1)
     and box lengths hi - lo."""

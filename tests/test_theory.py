@@ -11,6 +11,7 @@ from jetvar.core import (
     FIELD,
     GHOST,
     ODD,
+    PARAM,
     VAR,
     Expression,
     Generator,
@@ -544,6 +545,61 @@ def test_plan_is_built_once_per_density(monkeypatch, plane_sig):
             assert value == substitute(density, jets)
         assert len(set(map(str, values))) == len(sections)
         assert sum(e is density for e in calls) == 1
+
+
+def _horner_case(name):
+    """A density and a section for one shape of the evaluator's Horner walk.
+    The parameter m is declared between the fields, so that m^-1 can stand
+    inside a shared product of leading factors."""
+    sig = Signature([Generator("t", VAR), Generator("x", VAR), Generator("u", FIELD),
+                     Generator("m", PARAM), Generator("v", FIELD), Generator("w", FIELD)],
+                    [1, -1])
+    t, x, u, m, v, w = (sig.coord(n) for n in ("t", "x", "u", "m", "v", "w"))
+    ut, vx = sig.coord("u", d=("t",)), sig.coord("v", d=("x",))
+    one, per_m = sig.one(), invert_monomial(m)
+    q = Fraction
+    plain = {"u": t + x, "v": t * x - 2, "w": x ** 2 + 1}
+    pruned = ut * v + ut * v * w * 3 + ut ** 2 * w - ut ** 2 + v * w
+    density, values = {
+        # u and u*v end where u*v*w and u*v^2*w go on
+        "inner nodes": (u + u * v * 2 + u * v * w - u * v ** 2 * w, plain),
+        "constant": (5 * one - 3 * u + u * v * w, plain),
+        "constant alone": (q(-7, 3) * one, plain),
+        # u_t is zero on u = x^2 + 1, and u itself is zero in the second case
+        "zero power under a prefix": (pruned, dict(plain, u=x ** 2 + 1)),
+        "zero value under a prefix": (pruned + u * w, dict(plain, u=sig.zero())),
+        "negative exponent in a prefix": (
+            u * per_m * v + u * per_m * w * vx - u * per_m ** 2 * w + u * m * v + x * u * per_m,
+            dict(plain, v=t * m + x)),
+        "denominators": (u * v + v ** 2 * w * vx + q(1, 2) * w + 7 * one,
+                         {"u": t * q(1, 3), "v": x * q(1, 4) + q(1, 6), "w": t * x * q(2, 5)}),
+    }[name]
+    theory = Theory(sig, sig.zero())
+    return density, Section(theory, {(k, ()): e for k, e in values.items()})
+
+
+@pytest.mark.parametrize("name", [
+    "inner nodes", "constant", "constant alone", "zero power under a prefix",
+    "zero value under a prefix", "negative exponent in a prefix", "denominators",
+])
+def test_horner_walk_equals_substitution_of_the_jets(name):
+    density, section = _horner_case(name)
+    gens = density.sig.generators
+    jets = {a: jetcalc.apply_multi_derivative(section.value(gens[a.gen].name, a.comp), a.mindex)
+            for a in density.jet_atoms()}
+    expected = substitute(density, jets)
+    assert evaluate_density(density, section) == expected
+    box = {"t": (Fraction(-1, 2), 1), "x": (0, Fraction(3, 4))}
+    assert integrate_on_box_expression(density, section, box) == \
+        integrate_box_polynomial(expected, box)
+
+
+def test_horner_walk_weights_inner_nodes():
+    # the shapes above reach the plan: weights at inner nodes and at the root
+    _, _, nodes, _, weights, _, _ = theory_module._plan(_horner_case("inner nodes")[0])
+    assert {parent for parent, _ in nodes} & set(weights)
+    _, _, _, _, weights, _, _ = theory_module._plan(_horner_case("constant")[0])
+    assert 0 in weights
 
 
 def test_errors_are_not_memoized(mech_sig):
