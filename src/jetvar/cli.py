@@ -2,12 +2,14 @@
 
 Exit codes: 0 success or check-true, 1 check-false (residual printed),
 2 parse or usage error, 3 mathematical domain error, 4 internal error (one
-line on stderr, no traceback).
+line on stderr, no traceback), 141 standard output closed by its reader
+(nothing on stderr; the code a shell reports for a process that SIGPIPE ended).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -38,6 +40,7 @@ EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 def _load(path: str):
@@ -336,6 +339,8 @@ def cli_dispatch(argv, out=None) -> int:
     except DomainError as exc:
         out.write(f"error: {exc}\n")
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        raise  # the reader went away; main() ends quietly
     except Exception as exc:
         # a bug, not a verdict: exit 1 would read as "check false"
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
@@ -343,7 +348,16 @@ def cli_dispatch(argv, out=None) -> int:
 
 
 def main():
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    try:
+        code = cli_dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # ``jetvar el ... | head``: point stdout at devnull, so that the
+        # interpreter's own final flush has no closed pipe to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

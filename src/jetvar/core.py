@@ -17,7 +17,11 @@ only at the edges: constants, the public ``Expression(sig, monomials)``
 constructor, ``constant_value``, ``invert_monomial`` and the ``terms`` view.
 
 ``Expression.from_terms`` is the one accumulator, unchecked: sums, products
-and substitutions all hand it their terms to add up, sort and reduce.  The
+and substitutions all hand it their terms to add up, sort and reduce.
+``Expression.sum_of_products`` sums scaled products of expressions (the
+frontend's products, the gauge-identity check) with one ``from_terms``
+call: each part's last product goes in unsummed, through the pair loop it
+shares with ``*``.  The
 public ``Expression(sig, monomials)`` multiplies each monomial's factor
 images (``_power``) into the normal form, so user input meets the same sort
 and Koszul signs as any product.
@@ -330,6 +334,33 @@ def _merge_odd(o1: tuple, o2: tuple):
     return tuple(out), (-1 if inversions % 2 else 1)
 
 
+def _multiply_into(out: list, left: tuple, right: tuple, scale: int) -> None:
+    """Append to ``out`` the terms of ``scale`` times the product of the term
+    lists ``left`` and ``right``, unsummed and unsorted: the one pair loop of
+    ``Expression.__mul__`` and ``Expression.sum_of_products``."""
+    append = out.append
+    for (even1, odd1), c1 in left:
+        c1 *= scale
+        if not odd1:
+            for (even2, odd2), c2 in right:
+                append(((_merge_even(even1, even2), odd2), c1 * c2))
+            continue
+        for (even2, odd2), c2 in right:
+            if odd2:
+                odd, sign = _merge_odd(odd1, odd2)
+                if odd is None:
+                    continue
+                if sign < 0:
+                    c2 = -c2
+            else:
+                odd = odd1
+            append(((_merge_even(even1, even2), odd), c1 * c2))
+
+
+# the term list of the constant 1
+_ONE = ((((), ()), 1),)
+
+
 class Expression:
     """A normal-form sum of monomials over a fixed signature.
 
@@ -403,6 +434,41 @@ class Expression:
             terms.extend(p._nums if scale == 1 else [(key, c * scale) for key, c in p._nums])
         return Expression.from_terms(sig, terms, den)
 
+    @staticmethod
+    def sum_of_products(sig: Signature, parts: Iterable[tuple]) -> "Expression":
+        """The normal form of the sum of ``num/den * f_1 * ... * f_k`` over
+        ``parts``, each a ``(num, den, factors)`` triple with integers ``num``
+        and ``den > 0`` and a sequence of expressions: the factors but the
+        last are multiplied with ``*`` (a zero product ends the part), and
+        every part's last product goes straight into one ``from_terms`` call,
+        over the lcm of the parts' denominators."""
+        products = []  # (num, left terms, right terms, denominator of the part)
+        for num, den, factors in parts:
+            for f in factors:
+                if f.sig != sig:
+                    raise GeneratorMismatchError("expressions belong to different theories")
+            if not num:
+                continue
+            if not factors:
+                products.append((num, _ONE, _ONE, den))
+                continue
+            left = None  # the product of the factors but the last
+            for f in factors[:-1]:
+                left = f if left is None else left * f
+                if not left:
+                    break
+            else:
+                right = factors[-1]
+                if left is None:
+                    products.append((num, _ONE, right._nums, den * right.den))
+                else:
+                    products.append((num, left._nums, right._nums, den * left.den * right.den))
+        total = math.lcm(*[p[3] for p in products])
+        out = []
+        for num, left, right, den in products:
+            _multiply_into(out, left, right, num * (total // den))
+        return Expression.from_terms(sig, out, total)
+
     @property
     def terms(self) -> tuple:
         """The rational view: one ``Monomial`` with its exact ``Fraction``
@@ -460,13 +526,8 @@ class Expression:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        right = other._nums
         out = []
-        for (even1, odd1), c1 in self._nums:
-            for (even2, odd2), c2 in right:
-                odd, sign = _merge_odd(odd1, odd2)
-                if odd is not None:
-                    out.append(((_merge_even(even1, even2), odd), sign * c1 * c2))
+        _multiply_into(out, self._nums, other._nums, 1)
         return Expression.from_terms(self.sig, out, self.den * other.den)
 
     def __rmul__(self, other):
@@ -705,7 +766,7 @@ def _power(sig: Signature, atom: Atom, exponent: int) -> Expression:
     if exponent < 0 and gen.role != PARAM:
         raise GradingViolationError("negative exponents are reserved for parameters")
     if exponent == 0:
-        return _make(sig, 1, ((((), ()), 1),))
+        return _make(sig, 1, _ONE)
     if gen.grading.parity == ODD:
         return _make(sig, 1, ((((), (atom,)), 1),) if exponent == 1 else ())
     return _make(sig, 1, (((((atom, exponent),), ()), 1),))

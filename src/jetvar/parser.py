@@ -48,6 +48,7 @@ from .core import (
     GHOST,
     Generator,
     Grading,
+    JET_ROLES,
     ODD,
     PARAM,
     Signature,
@@ -377,8 +378,9 @@ class _Plan(NamedTuple):
     """How one product is evaluated, fixed by the analysis."""
 
     letters: Tuple[str, ...]  # the letters it contracts
-    assignments: list  # (values of the letters, inverse-metric factor)
-    scalar: Fraction  # its rational factors and leading signs
+    # (values of the letters, num, den): the product's rational factors,
+    # leading signs and inverse-metric factors, folded into num/den
+    assignments: list
     eps: list  # index lists of its eps factors
     factors: list  # every other factor, signs peeled off
 
@@ -410,12 +412,14 @@ class Expander:
             formal = [Generator(f"EL({g.name})", FIELD, g.index_ranges) for g in sig.generators]
             sig = Signature(sig.generators + tuple(formal), sig.metric)
         self.sig = sig
+        self._variables = {g.name: pos for pos, g in enumerate(sig.variables)}
         self.defs = defs or {}
         self.operator_mode = operator_mode
         self._plans: Dict[Node, _Plan] = {}
         self._bodies: Dict[tuple, tuple] = {}  # (body, params) -> (slots, height, nonparam)
         self._open: List[str] = []  # defs whose bodies are being analysed
         self._instances: Dict[tuple, Expression] = {}  # (def, parameter values) -> value
+        self._shifts: Dict[Node, Node] = {}  # d(ref; slot) of a lone jet reference -> ref
 
     def extended(self, sig: Signature) -> "Expander":
         """An expander over a signature extending this one's that reuses its
@@ -424,6 +428,7 @@ class Expander:
         other._plans = dict(self._plans)
         other._bodies = dict(self._bodies)
         other._instances = dict(self._instances)
+        other._shifts = dict(self._shifts)
         return other
 
     # -- analysis --------------------------------------------------------------
@@ -523,6 +528,9 @@ class Expander:
             hi = self.sig.nvars - 1
             for k, v in self._exposed([slot], [Slot(0, hi, True, ((0, hi, slot, None),))]).items():
                 letters.setdefault(k, []).extend(v)
+            ref = self._lone_jet_reference(body)
+            if ref is not None:
+                self._shifts[node] = ref
             return letters, height, True
         if kind in ("ref", "el"):
             # EL(u[...]) is checked like u[...]; its errors name u
@@ -606,7 +614,11 @@ class Expander:
                 raise ParseError(f"unbound index letter {letter!r}", node.line, node.col)
 
     def _plan(self, node: Node, letters, bound) -> None:
-        # every product contracts its own repeated letters, never a bound one
+        """The ``_Plan`` of a product: the letters it contracts (its own
+        repeated letters, never a bound one), each checked for every value
+        of its range, and per assignment of them one integer pair
+        ``num/den``, its rational factors, leading signs and inverse-metric
+        factors folded in once here, so that evaluation multiplies ints."""
         pairs = []
         for letter, slots in sorted(letters.items()):
             if letter in bound or len(slots) == 1:
@@ -632,14 +644,6 @@ class Expander:
             # pair with the EL system, so they carry no metric at all
             metric = bool(a.metric) and bool(b.metric) and not self.operator_mode
             pairs.append((letter, ref.lo, ref.hi, metric))
-        assignments = []
-        for values in itertools.product(*[range(lo, hi + 1) for _, lo, hi, _ in pairs]):
-            factor = Fraction(1)
-            for (_, _, _, metric), v in zip(pairs, values):
-                if metric:
-                    # metric slots always range over the variable positions 0..n-1
-                    factor /= self.sig.metric[v]
-            assignments.append((values, factor))
         scalar, eps, factors = Fraction(1), [], []
         for f in node.data:
             while f.kind == "neg":
@@ -650,10 +654,32 @@ class Expander:
                 eps.append(f.data)
             else:
                 factors.append(f)
-        self._plans[node] = _Plan(tuple(p[0] for p in pairs), assignments, scalar, eps, factors)
+        assignments = []
+        for values in itertools.product(*[range(lo, hi + 1) for _, lo, hi, _ in pairs]):
+            c = scalar
+            for (_, _, _, metric), v in zip(pairs, values):
+                if metric:
+                    # metric slots always range over the variable positions 0..n-1
+                    c /= self.sig.metric[v]
+            assignments.append((values, c.numerator, c.denominator))
+        self._plans[node] = _Plan(tuple(p[0] for p in pairs), assignments, eps, factors)
+
+    def _lone_jet_reference(self, node: Node) -> Optional[Node]:
+        """The reference when the sum ``node`` is one checked jet coordinate,
+        written alone and with no letter repeated, else None."""
+        if len(node.data) != 1 or node.data[0][0] != 1 or len(node.data[0][1].data) != 1:
+            return None
+        ref = node.data[0][1].data[0]
+        if ref.kind == "ref":
+            if ref.data[0] in self.defs or self.sig.generator(ref.data[0]).role not in JET_ROLES:
+                return None
+        elif ref.kind != "el":
+            return None
+        letters = [item.value for item in ref.data[1] if item.kind == "letter"]
+        return ref if len(set(letters)) == len(letters) else None
 
     def _is_variable(self, name: str) -> bool:
-        return self.sig.has_generator(name) and self.sig.generator(name).role == VAR
+        return name in self._variables
 
     # -- evaluation -------------------------------------------------------------
 
@@ -663,37 +689,42 @@ class Expander:
         return self._eval(node, env)
 
     def _eval(self, node: Node, env) -> Expression:
-        terms = node.data
-        if len(terms) == 1:
-            return self._eval_product(terms[0][1], env, terms[0][0])
-        return Expression.sum(
-            self.sig, [self._eval_product(term, env, sign) for sign, term in terms]
-        )
-
-    def _eval_product(self, node: Node, env, sign) -> Expression:
-        # rational, eps and metric factors are folded into one scalar first:
-        # an assignment that makes it zero multiplies nothing
-        plan = self._plans[node]
-        scalar = plan.scalar * sign
+        """A sum node: the parts of all its products, in one accumulation."""
         parts = []
-        for values, metric in plan.assignments:
+        for sign, term in node.data:
+            parts += self._eval_product(term, env, sign)
+        return Expression.sum_of_products(self.sig, parts)
+
+    def _eval_product(self, node: Node, env, sign) -> list:
+        """The ``(num, den, factors)`` parts of a product node, one per
+        assignment, for ``Expression.sum_of_products``: the plan's integer
+        pair times ``sign`` and the eps signs, and the factor values, the
+        product of all but the last folded into one.  An assignment whose
+        scalar is zero evaluates no factor, and one whose running product
+        vanishes evaluates no further factor."""
+        plan = self._plans[node]
+        parts = []
+        head, last = plan.factors[:-1], (plan.factors[-1] if plan.factors else None)
+        for values, num, den in plan.assignments:
             inner = {**env, **dict(zip(plan.letters, values))} if plan.letters else env
-            c = scalar * metric
+            c = num * sign
             for idx in plan.eps:
                 c *= _eps_sign([self._index_value(item, inner) for item in idx])
             if not c:
                 continue
-            acc = None
-            for f in plan.factors:
+            if last is None:
+                parts.append((c, den, ()))
+                continue
+            prefix = None
+            for f in head:
                 value = self._eval_factor(f, inner)
-                acc = value if acc is None else acc * value
-                if not acc:
+                prefix = value if prefix is None else prefix * value
+                if not prefix:
                     break
-            if acc is None:
-                parts.append(self.sig.const(c))
-            elif acc:
-                parts.append(acc if c == 1 else acc * c)
-        return parts[0] if len(parts) == 1 else Expression.sum(self.sig, parts)
+            else:
+                value = self._eval_factor(last, inner)
+                parts.append((c, den, (value,) if prefix is None else (prefix, value)))
+        return parts
 
     def _eval_factor(self, node: Node, env) -> Expression:
         kind = node.kind
@@ -718,6 +749,9 @@ class Expander:
         if kind == "d":
             body, slot = node.data
             pos = self._index_value(slot, env)
+            ref = self._shifts.get(node)
+            if ref is not None:
+                return self.sig.from_atom(self.sig.shift_atom(self._atom(ref, env), pos))
             return jetcalc.total_derivative(self._eval_factor(body, env), pos)
         if kind in ("ref", "el"):
             return self._eval_ref(node, env)
@@ -726,18 +760,22 @@ class Expander:
     def _index_value(self, item: Index, env) -> int:
         if item.kind == "int":
             return item.value
-        if self._is_variable(item.value):
-            return self.sig.var_position(item.value)
-        return env[item.value]
+        pos = self._variables.get(item.value)
+        return env[item.value] if pos is None else pos
+
+    def _atom(self, node: Node, env):
+        """The atom of a reference to a generator, or of ``EL(...)``."""
+        name, idx = node.data[:2]
+        if node.kind == "el":
+            name = f"EL({name})"
+        return self.sig.atom(name, tuple(self._index_value(item, env) for item in idx))
 
     def _eval_ref(self, node: Node, env) -> Expression:
         name, idx = node.data[:2]
-        values = tuple(self._index_value(item, env) for item in idx)
         entry = self.defs.get(name)
         if entry is None:
-            if node.kind == "el":
-                name = f"EL({name})"
-            return self.sig.from_atom(self.sig.atom(name, values))
+            return self.sig.from_atom(self._atom(node, env))
+        values = tuple(self._index_value(item, env) for item in idx)
         value = self._instances.get((name, values))
         if value is None:
             value = self._eval(entry.body, dict(zip(entry.params, values)))
@@ -759,7 +797,7 @@ class Expander:
         table: Dict[tuple, Dict[tuple, Expression]] = {}
         for sign, term in node.data:
             parts: Dict[tuple, list] = {}
-            product = self._eval_product(term, env, sign)
+            product = Expression.sum_of_products(self.sig, self._eval_product(term, env, sign))
             for (even, odd), c in product._nums:
                 # EL coordinates are even and sort after every base atom
                 if not even or even[-1][0].gen < nbase:

@@ -225,14 +225,16 @@ class NoetherOperator:
 
     def apply(self, values: Mapping[Component, Expression], sig: Signature) -> Expression:
         """Sum of coeff * D_alpha(values[component]); ``sig`` extends the
-        operator's signature, and the coefficients are embedded into it."""
-        parts = (
-            _transfer(coeff, sig) * jetcalc.apply_multi_derivative(values[key], mindex)
+        operator's signature, and the coefficients are embedded into it.
+        Every ``coeff * D_alpha(...)`` product goes into one
+        ``Expression.sum_of_products``, so the sum is normalized once."""
+        parts = [
+            (1, 1, (_transfer(coeff, sig), jetcalc.apply_multi_derivative(values[key], mindex)))
             for key, table in self.coefficients.items()
             if values[key]
             for mindex, coeff in table.items()
-        )
-        return Expression.sum(sig, parts)
+        ]
+        return Expression.sum_of_products(sig, parts)
 
 
 class Section:

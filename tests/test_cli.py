@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from jetvar import cli
-from jetvar.cli import EXIT_INTERNAL, cli_dispatch
+from jetvar.cli import EXIT_INTERNAL, EXIT_PIPE, cli_dispatch
 from jetvar.parser import _Parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -32,10 +32,37 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+def test_a_closed_stdout_ends_quietly():
+    # the reader closes the pipe before anything is written, so the first
+    # write fails; neither jetvar nor the interpreter's final flush may report it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "jetvar", "el", str(MODELS / "yang_mills_su2.jv")]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (EXIT_PIPE, b"")
+    assert EXIT_PIPE == 141
+
+
 def test_el_free_particle():
     code, text = run("el", str(MODELS / "free_particle.jv"))
     assert code == 0
     assert "EL[u[1]] = -m * d(d(u[1];t);t)" in text
+
+
+def test_el_with_metric_entries_other_than_one(tmp_path):
+    # inverse-metric factors 1/2 and -3 fold with the product's rationals
+    path = tmp_path / "metric.jv"
+    path.write_text(
+        "vars t, x\nmetric diag(2, -1/3)\nparams m\nfield u[1..2]\n"
+        "lagrangian 1/2 * d(u[i];mu)*d(u[i];mu) - 3/4 * m * u[i]*u[i]\n"
+    )
+    code, text = run("el", str(path))
+    assert (code, text) == (0, "".join(
+        f"EL[u[{i}]] = -3/2 * m * u[{i}] + 3 * d(d(u[{i}];x);x) - 1/2 * d(d(u[{i}];t);t)\n"
+        for i in (1, 2)
+    ))
 
 
 def test_divergence_with_witness():

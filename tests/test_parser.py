@@ -338,7 +338,8 @@ def test_a_parameter_carries_each_check_once(monkeypatch):
 
 
 def _count_parse_work(monkeypatch, source):
-    """Def-body evaluations, node analyses, AST nodes and products of one parse."""
+    """Def-body evaluations, node analyses, AST nodes, products and
+    normalizations of one parse."""
     counts = Counter()
     bodies = set()
     make_def = parser.DefEntry
@@ -362,6 +363,7 @@ def _count_parse_work(monkeypatch, source):
     counted(parser.Expander, "_eval", "bodies", lambda self, node, env: id(node) in bodies)
     counted(parser.Expander, "_analyse", "analyses")
     counted(Expression, "__mul__", "mul")
+    counted(Expression, "from_terms", "from_terms")  # only ever called on the class
     parse_model(source)
     first = dict(counts)
     counts.clear()
@@ -381,6 +383,9 @@ def test_parse_model_evaluates_each_def_instance_once(monkeypatch):
     assert counts["analyses"] <= counts["nodes"]
     assert counts["mul"] <= 4709 // 2
     assert counts["mul"] <= 650
+    # normalizing each assignment's product, then its scaling, then the sum
+    # took 1253; one accumulation per sum takes fewer than 700
+    assert counts["from_terms"] <= 700
 
 
 # E[p,q] contracts its letters r, s through the metric; inlined by hand it is

@@ -192,6 +192,51 @@ def test_sum_edge_cases():
 
 
 @st.composite
+def scaled_products(draw, sig):
+    """A ``(scalar, factors)`` part: factors drawn from a small pool, so odd
+    atoms meet again (signs, vanishing squares), the parameter with negative
+    exponents, zero scalars, zero factors and empty factor lists, and scalars
+    over different denominators."""
+    m = sig.coord("m")
+    factor = st.one_of(
+        expressions(sig, max_terms=3),
+        st.builds(sig.from_atom, atoms(sig, ("psi", "c"))),
+        st.builds(lambda e, k: e * invert_monomial(m ** k), expressions(sig, max_terms=2),
+                  st.integers(1, 3)),
+        st.just(sig.zero()),
+    )
+    pool = draw(st.lists(factor, min_size=1, max_size=3))
+    scalar = draw(st.one_of(
+        st.just(Fraction(0)), coefficients, st.builds(Fraction, st.integers(-40, 40),
+                                                       st.integers(1, 36))))
+    return scalar, draw(st.lists(st.sampled_from(pool), max_size=4))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_sum_of_products_equals_the_sum_of_written_products(n, data):
+    sig = SIGS[n]
+    parts = data.draw(st.lists(scaled_products(sig), max_size=5))
+    total = Expression.sum_of_products(
+        sig, [(c.numerator, c.denominator, tuple(factors)) for c, factors in parts])
+    written = [functools.reduce(operator.mul, factors, sig.const(c)) for c, factors in parts]
+    assert total == Expression.sum(sig, written)
+    _assert_normal(total)
+
+
+def test_sum_of_products_edge_cases():
+    sig = SIGS[1]
+    psi = sig.coord("psi")
+    assert Expression.sum_of_products(sig, []) == sig.zero()
+    assert Expression.sum_of_products(sig, [(3, 4, ())]) == sig.const(Fraction(3, 4))
+    assert Expression.sum_of_products(sig, [(1, 1, (psi,)), (-2, 4, (psi,))]) == psi / 2
+    assert Expression.sum_of_products(sig, [(1, 1, (psi, psi, sig.coord("m")))]).is_zero()
+    with pytest.raises(GeneratorMismatchError):
+        Expression.sum_of_products(sig, [(1, 1, (SIGS[2].coord("psi"),))])
+
+
+@st.composite
 def written_monomials(draw, sig):
     """A ``Monomial`` as a caller may write it: even factors shuffled and
     repeated, exponents 0, odd atoms in ``even`` with any exponent, repeated
