@@ -138,7 +138,8 @@ def extend_to_bv(
     whose identity it resolves; the identities are verified exactly, off
     shell.  The proposal couples every field antifield to the gauge
     characteristic obtained from the operator's adjoint; higher ghost terms
-    are the caller's to add via ``with_master``.
+    are the caller's to add via ``with_master``.  The Lagrangian and every
+    ``+-antifield * D_alpha(coeff * ghost)`` are one ``sum_of_products``.
     """
     sig = theory.signature
     pairs: List[GaugePair] = []
@@ -180,20 +181,18 @@ def extend_to_bv(
     lagrangian = _transfer(theory.lagrangian, ext_sig)
     ext_theory = Theory(ext_sig, lagrangian)
 
-    proposal = [lagrangian]
+    proposal = [(1, 1, (lagrangian,))]
     for pair in pairs:
         for ghost_comp, op in pair.operators.items():
             ghost = ext_sig.from_atom(ext_sig.atom(pair.ghost.name, ghost_comp))
             for (fname, fcomp), table in op.coefficients.items():
                 star = ext_sig.from_atom(ext_sig.atom(antifield_name(fname), fcomp))
-                q = []
                 for mindex, coeff in table.items():
                     term = jetcalc.apply_multi_derivative(
                         _transfer(coeff, ext_sig) * ghost, mindex
                     )
-                    q.append(-term if sum(mindex) % 2 else term)
-                proposal.append(star * Expression.sum(ext_sig, q))
-    master = LocalFunctional(ext_theory, Expression.sum(ext_sig, proposal))
+                    proposal.append((-1 if sum(mindex) % 2 else 1, 1, (star, term)))
+    master = LocalFunctional(ext_theory, Expression.sum_of_products(ext_sig, proposal))
     return BVExtension(theory, ext_theory, tuple(pairs), master)
 
 
@@ -229,18 +228,18 @@ def _hamiltonian_characteristics(f: Expression) -> Dict[Component, Expression]:
 
 
 def antibracket_density(bv: BVExtension, f, g) -> Expression:
-    """Density of (F, G): X_F's characteristics paired with dL G/dPhi; defined
-    up to a total divergence."""
+    """Density of (F, G): X_F's characteristics paired with dL G/dPhi, one
+    ``sum_of_products`` part per pair; defined up to a total divergence."""
     sig = bv.signature
     f = _as_expression(f, sig)
     g = _as_expression(g, sig)
     if g:
         parity_ghost_of(g)
-    parts = (
-        q * jetcalc.variational_derivative(g, name, comp)
+    parts = [
+        (1, 1, (q, jetcalc.variational_derivative(g, name, comp)))
         for (name, comp), q in _hamiltonian_characteristics(f).items()
-    )
-    return Expression.sum(sig, parts)
+    ]
+    return Expression.sum_of_products(sig, parts)
 
 
 def antibracket(bv: BVExtension, f, g) -> LocalFunctional:

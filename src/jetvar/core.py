@@ -18,17 +18,19 @@ constructor, ``constant_value``, ``invert_monomial`` and the ``terms`` view.
 
 ``Expression.from_terms`` is the one accumulator, unchecked: sums, products
 and substitutions all hand it their terms to add up, sort and reduce.
-``Expression.sum_of_products`` sums scaled products of expressions (the
-frontend's products, the gauge-identity check) with one ``from_terms``
-call: each part's last product goes in unsummed, through the pair loop it
-shares with ``*``.  The
-public ``Expression(sig, monomials)`` multiplies each monomial's factor
-images (``_power``) into the normal form, so user input meets the same sort
-and Koszul signs as any product.
+``Expression.sum_of_products`` is the one sum rule above it: every sum of
+scaled products of expressions (``Expression.sum``, the public constructor,
+``substitute``, the frontend's products, the brackets and derivations of
+``jetcalc`` and ``bv``) hands it ``(num, den, factors)`` parts, and it alone
+brings them to the lcm of their denominators.  Each part's last product goes
+into one ``from_terms`` call unsummed, through the pair loop it shares with
+``*``.  The public ``Expression(sig, monomials)`` hands each monomial's
+factor images (``_power``) as one part, so user input meets the same sort and
+Koszul signs as any product.
 ``substitute`` multiplies each monomial's factor images in stored order and
-shares no products between monomials (a monomial with no bound factor is
-copied as it is), so it stays a plain reference for the packed evaluator in
-``theory``, which keeps the only trie of shared products.
+shares no products between monomials (the monomials with no bound factor are
+copied as they are), so it stays a plain reference for the packed evaluator
+in ``theory``, which keeps the only trie of shared products.
 Graded partial derivatives are left ones, from one memoized sweep per
 expression that gives the derivative by every atom at once
 (``partial_derivative`` is a view of it); for ``e`` of parity ``p``,
@@ -378,20 +380,22 @@ class Expression:
     __slots__ = ("sig", "den", "_nums", "_terms", "_sweeps")
 
     def __init__(self, sig: Signature, terms: Iterable[Monomial]):
-        """The normal form of a sum of ``Monomial``s: each is ``sig.const(coeff)``
-        times the product of its factor images ``_power(sig, atom, x)``, even
-        factors then odd ones, in any order; an atom that ``sig.atom`` would
-        not build is an ``UnknownGeneratorError``."""
+        """The normal form of a sum of ``Monomial``s: each is one
+        ``sum_of_products`` part, ``coeff`` times the product of its factor
+        images ``_power(sig, atom, x)``, even factors then odd ones, in any
+        order; an atom that ``sig.atom`` would not build is an
+        ``UnknownGeneratorError``."""
         parts = []
         for m in terms:
-            product = sig.const(m.coeff)
+            coeff = Fraction(m.coeff)
+            factors = []
             for atom, x in (*m.even, *((a, 1) for a in m.odd)):
                 if not 0 <= atom.gen < len(sig.generators) or atom != sig.atom(
                         sig.generators[atom.gen].name, atom.comp, atom.mindex):
                     raise UnknownGeneratorError(f"{atom} is not an atom of the signature")
-                product = product * _power(sig, atom, x)
-            parts.append(product)
-        e = Expression.sum(sig, parts)
+                factors.append(_power(sig, atom, x))
+            parts.append((coeff.numerator, coeff.denominator, factors))
+        e = Expression.sum_of_products(sig, parts)
         _fill(self, sig, e.den, e._nums)
 
     def __setattr__(self, *args):
@@ -421,52 +425,46 @@ class Expression:
 
     @staticmethod
     def sum(sig: Signature, parts: Iterable["Expression"]) -> "Expression":
-        """Normalized sum of many expressions: one accumulation over the lcm
-        of their denominators, one sort."""
-        parts = list(parts)
-        for p in parts:
-            if p.sig != sig:
-                raise GeneratorMismatchError("expressions belong to different theories")
-        den = math.lcm(*[p.den for p in parts])
-        terms = []
-        for p in parts:
-            scale = den // p.den
-            terms.extend(p._nums if scale == 1 else [(key, c * scale) for key, c in p._nums])
-        return Expression.from_terms(sig, terms, den)
+        """Normalized sum of many expressions: one ``sum_of_products`` of
+        one-factor parts."""
+        return Expression.sum_of_products(sig, [(1, 1, (p,)) for p in parts])
 
     @staticmethod
     def sum_of_products(sig: Signature, parts: Iterable[tuple]) -> "Expression":
         """The normal form of the sum of ``num/den * f_1 * ... * f_k`` over
         ``parts``, each a ``(num, den, factors)`` triple with integers ``num``
-        and ``den > 0`` and a sequence of expressions: the factors but the
-        last are multiplied with ``*`` (a zero product ends the part), and
+        and ``den > 0`` and a sequence of expressions: the one place that
+        brings parts to a common denominator, the lcm of theirs.  The factors
+        but the last are multiplied with ``*`` (a zero product ends the part),
         every part's last product goes straight into one ``from_terms`` call,
-        over the lcm of the parts' denominators."""
-        products = []  # (num, left terms, right terms, denominator of the part)
+        and a part of one factor or none adds its terms as they are."""
+        products = []  # (num, left terms, right terms or None, denominator of the part)
         for num, den, factors in parts:
             for f in factors:
                 if f.sig != sig:
                     raise GeneratorMismatchError("expressions belong to different theories")
             if not num:
                 continue
-            if not factors:
-                products.append((num, _ONE, _ONE, den))
+            if len(factors) < 2:
+                f = factors[0] if factors else _make(sig, 1, _ONE)
+                products.append((num, f._nums, None, den * f.den))
                 continue
-            left = None  # the product of the factors but the last
-            for f in factors[:-1]:
-                left = f if left is None else left * f
+            left = factors[0]  # the product of the factors but the last
+            for f in factors[1:-1]:
                 if not left:
                     break
-            else:
+                left = left * f
+            if left:
                 right = factors[-1]
-                if left is None:
-                    products.append((num, _ONE, right._nums, den * right.den))
-                else:
-                    products.append((num, left._nums, right._nums, den * left.den * right.den))
+                products.append((num, left._nums, right._nums, den * left.den * right.den))
         total = math.lcm(*[p[3] for p in products])
         out = []
         for num, left, right, den in products:
-            _multiply_into(out, left, right, num * (total // den))
+            scale = num * (total // den)
+            if right is not None:
+                _multiply_into(out, left, right, scale)
+            else:
+                out.extend(left if scale == 1 else [(key, c * scale) for key, c in left])
         return Expression.from_terms(sig, out, total)
 
     @property
@@ -702,8 +700,9 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
     is its own image.  A monomial's image is the product of its factor
     images in stored order (even factors, then odd ones), starting from the
     first and stopping at the first zero prefix; monomials share no
-    products, and a monomial with no bound factor is copied as it is.  The
-    images are scaled to the lcm of their denominators.
+    products.  Each monomial is one ``sum_of_products`` part, the product of
+    its factors but the last and its last image, and the monomials with no
+    bound factor are one more part, copied as they are.
     ``theory.evaluate_density`` is checked against this.
     """
     sig = e.sig
@@ -736,26 +735,23 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
         return f
 
     kept = []  # monomials with no bound factor, as they are
-    products = []  # (numerator of the monomial, image of its factors)
+    parts = []  # (numerator, e's denominator, (image of the factors but the last, last image))
     for item in e._nums:
         (even, odd), c = item
         if not any(a in bound for a, _ in even) and not any(a in bound for a in odd):
             kept.append(item)
             continue
-        factors = even + tuple((a, 1) for a in odd)
-        product = image(factors[0])
-        for factor in factors[1:]:
-            if not product:
+        *head, last = even + tuple((a, 1) for a in odd)
+        prefix = None
+        for factor in head:
+            prefix = image(factor) if prefix is None else prefix * image(factor)
+            if not prefix:
                 break
-            product = product * image(factor)
-        if product:
-            products.append((c, product))
-    den = math.lcm(*[p.den for _, p in products])
-    scaled = kept if den == 1 else [(key, c * den) for key, c in kept]
-    for c, p in products:
-        scale = c * (den // p.den)
-        scaled.extend((key, scale * n) for key, n in p._nums)
-    return Expression.from_terms(sig, scaled, e.den * den)
+        else:
+            parts.append((c, e.den, (image(last),) if prefix is None else (prefix, image(last))))
+    if kept:
+        parts.append((1, e.den, (_make(sig, 1, tuple(kept)),)))
+    return Expression.sum_of_products(sig, parts)
 
 
 def _power(sig: Signature, atom: Atom, exponent: int) -> Expression:

@@ -156,6 +156,7 @@ def prolong_apply(
     assigned to that undifferentiated coordinate; the result is the sum over
     jet atoms u_alpha of D_alpha(Q) * dL e/du_alpha, the derivation that
     commutes with every D_i (a symmetry's prolongation, d_KT and X_F alike).
+    Each ``(D_alpha Q, partial)`` pair is one ``Expression.sum_of_products`` part.
     """
     sig = e.sig
     by_id = {(sig.generator_id(n), tuple(c)): q for (n, c), q in characteristics.items()
@@ -164,8 +165,8 @@ def prolong_apply(
     for atom, partial in _memo(e, _sweep).items():
         q = by_id.get((atom.gen, atom.comp))
         if q:
-            parts.append(apply_multi_derivative(q, atom.mindex) * partial)
-    return Expression.sum(sig, parts)
+            parts.append((1, 1, (apply_multi_derivative(q, atom.mindex), partial)))
+    return Expression.sum_of_products(sig, parts)
 
 
 def is_total_divergence(e: Expression) -> bool:

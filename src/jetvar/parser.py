@@ -42,6 +42,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
+    Atom,
     EVEN,
     Expression,
     FIELD,
@@ -413,6 +414,7 @@ class Expander:
             sig = Signature(sig.generators + tuple(formal), sig.metric)
         self.sig = sig
         self._variables = {g.name: pos for pos, g in enumerate(sig.variables)}
+        self._zeros = (0,) * sig.nvars  # the multi-index of an underived atom
         self.defs = defs or {}
         self.operator_mode = operator_mode
         self._plans: Dict[Node, _Plan] = {}
@@ -764,11 +766,12 @@ class Expander:
         return env[item.value] if pos is None else pos
 
     def _atom(self, node: Node, env):
-        """The atom of a reference to a generator, or of ``EL(...)``."""
+        """The atom of a generator reference or of ``EL(...)``, its indices checked at analysis."""
         name, idx = node.data[:2]
         if node.kind == "el":
             name = f"EL({name})"
-        return self.sig.atom(name, tuple(self._index_value(item, env) for item in idx))
+        comp = tuple(self._index_value(item, env) for item in idx)
+        return Atom(self.sig.generator_id(name), comp, 0, self._zeros)
 
     def _eval_ref(self, node: Node, env) -> Expression:
         name, idx = node.data[:2]

@@ -4,10 +4,12 @@ import decimal
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jetvar import cli
 from jetvar.cli import EXIT_INTERNAL, EXIT_PIPE, cli_dispatch
@@ -659,3 +661,91 @@ def test_determinism():
     first = run("el", str(MODELS / "yang_mills_su2.jv"))
     second = run("el", str(MODELS / "yang_mills_su2.jv"))
     assert first == second
+
+
+# -- exit-code fuzz: one to three token mutations of a shipped model or of
+# its expression flag (--expr, --q, --op, --section), run in process; every
+# outcome is a verdict, a parse error or a domain error, and a parse error
+# points inside the text it read
+
+_FLAGS = {
+    "free.jv": {"kt": ("--expr", "u*"), "symm": ("--q", "u=u"), "noether": ("--op", "EL(u)"),
+                "eval": ("--section", "u=t^2", "--box", "t=0..1", "--param", "m=1")},
+    "free_particle.jv": {"kt": ("--expr", "u*[1]"), "symm": ("--q", "u[i]=d(u[i];t)"),
+                         "noether": ("--op", "d(EL(u[1]);t)"),
+                         "eval": ("--section", "u[i]=t", "--box", "t=0..1", "--param", "m=1")},
+    "maxwell.jv": {"kt": ("--expr", "C*"), "symm": ("--q", "A[mu]=d(C;mu)"),
+                   "noether": ("--op", "d(EL(A[nu]);nu)"),
+                   "eval": ("--section", "A[mu]=t*x", "--box", "t=0..1,x=0..1")},
+    "scalar_phi4.jv": {"kt": ("--expr", "phi*"), "symm": ("--q", "phi=d(phi;t)"),
+                       "noether": ("--op", "EL(phi)"),
+                       "eval": ("--section", "phi=t+x", "--box", "t=0..1,x=0..1",
+                                "--param", "m=1", "--param", "g=2")},
+    "yang_mills_su2.jv": {"kt": ("--expr", "C*[1]"), "symm": ("--q", "A[a,mu]=d(C[a];mu)"),
+                          "noether": (
+                              "--op", "-d(EL(A[1,nu]);nu) - eps[1,a,c]*A[a,nu]*EL(A[c,nu])"),
+                          "eval": ("--section", "A[a,mu]=t*x", "--box", "t=0..1,x=0..1")},
+}
+_COMMANDS = ("el", "master", "kt", "symm", "noether", "eval")
+_MODEL_TEXTS = {name: (MODELS / name).read_text() for name in _FLAGS}
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\*?|\d+|\.\.|\S")
+_POOL = sorted({tok for text in _MODEL_TEXTS.values() for tok in _TOKEN.findall(text)}
+               | {tok for flags in _FLAGS.values() for argv in flags.values()
+                  for tok in _TOKEN.findall(argv[1])}
+               | {"0", "-1", "1/0", "..", "^", "=", ";", "\\", "#"})
+_POSITION = re.compile(r"parse error: (\d+)(?::(\d+))?: ")
+
+
+@st.composite
+def _mutated(draw, text):
+    """``text`` after one to three token replacements, deletions or
+    insertions, or line duplications."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("replace", "delete", "insert", "line")))
+        if kind == "line":
+            lines = text.split("\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            text = "\n".join(lines[:i + 1] + lines[i:])
+            continue
+        spans = [m.span() for m in _TOKEN.finditer(text)]
+        if not spans:
+            continue
+        start, end = draw(st.sampled_from(spans))
+        token = draw(st.sampled_from(_POOL))
+        if kind == "replace":
+            text = text[:start] + token + text[end:]
+        elif kind == "delete":
+            text = text[:start] + text[end:]
+        else:
+            text = text[:start] + token + " " + text[start:]
+    return text
+
+
+def _inside(line, col, texts) -> bool:
+    for text in texts:
+        lines = text.split("\n")
+        if 1 <= line <= len(lines) and (col is None or 1 <= col <= len(lines[line - 1]) + 1):
+            return True
+    return False
+
+
+@settings(max_examples=1500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_exit_with_a_verdict_or_an_error(tmp_path_factory, data):
+    model = data.draw(st.sampled_from(sorted(_FLAGS)), label="model")
+    command = data.draw(st.sampled_from(_COMMANDS), label="command")
+    text = _MODEL_TEXTS[model]
+    flags = list(_FLAGS[model].get(command, ()))
+    if not flags or data.draw(st.booleans(), label="mutate the model"):
+        text = data.draw(_mutated(text), label="model text")
+    else:
+        flags[1] = data.draw(_mutated(flags[1]), label="flag")
+    path = tmp_path_factory.getbasetemp() / "fuzzed.jv"
+    path.write_text(text, encoding="utf-8")
+    code, out = run(command, str(path), *flags)
+    assert code in (0, 1, 2, 3), out
+    where = _POSITION.match(out)
+    if where:
+        line, col = int(where[1]), where[2] and int(where[2])
+        assert _inside(line, col, [text, *flags]), out

@@ -297,3 +297,16 @@ def test_only_the_kernel_merges_factor_lists():
                  for alias in node.names}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not names & {"_merge_even", "_merge_odd"}, path.name
+
+
+def test_one_owner_brings_parts_to_a_common_denominator():
+    # every sum of scaled parts goes through Expression.sum_of_products: a
+    # second lcm in the kernel would be a second copy of its scaling loop
+    def lcm_lines(tree):
+        return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute) and node.func.attr == "lcm"}
+
+    tree = ast.parse(pathlib.Path(core.__file__).read_text())
+    owners = {f.name: lcm_lines(f) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and lcm_lines(f)}
+    assert owners == {"sum_of_products": lcm_lines(tree)}

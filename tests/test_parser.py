@@ -315,9 +315,9 @@ def test_evaluation_checks_no_index():
     expander = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Expander")
     methods = {f.name: f for f in expander.body if isinstance(f, ast.FunctionDef)}
     for name in ("_eval", "_eval_product", "_eval_factor", "_eval_ref", "_index_value",
-                 "operator_table"):
+                 "_atom", "operator_table"):
         called = {n.attr for n in ast.walk(methods[name]) if isinstance(n, ast.Attribute)}
-        assert "_check_range" not in called, name
+        assert not called & {"_check_range", "atom"}, name
 
 
 def test_a_parameter_carries_each_check_once(monkeypatch):

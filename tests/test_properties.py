@@ -841,6 +841,22 @@ def test_antibracket_obeys_leibniz_through_x_f(n, data):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+@settings(BRACKET, max_examples=300)  # about 2 s per signature
+@given(data=st.data())
+def test_antibracket_obeys_graded_jacobi(n, data):
+    # (F, (G, H)) = ((F, G), H) + (-1)^((|F|+1)(|G|+1)) (G, (F, H)) modulo divergences
+    bv = FULL_BVS[n]
+    f, g1 = data.draw(bracket_operands(bv, small=True))
+    g2, h = data.draw(bracket_operands(bv, small=True))
+    g = g1 * g2  # pairs with F through g1 and with H through g2, so few brackets vanish
+    sign = -1 if (_parity(f) + 1) * (_parity(g) + 1) % 2 else 1
+    lhs = antibracket_density(bv, f, antibracket_density(bv, g, h))
+    rhs = (antibracket_density(bv, antibracket_density(bv, f, g), h)
+           + antibracket_density(bv, g, antibracket_density(bv, f, h)) * sign)
+    assert jetcalc.ibp_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
 @PROPERTY
 @given(data=st.data())
 def test_divergence_verdict_equals_the_per_target_loop(n, data):
