@@ -22,7 +22,6 @@ from, so the loop strictly shrinks the remaining witness.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence, Tuple, Union
 
 from .core import (
@@ -129,8 +128,8 @@ def _euler(e: Expression) -> dict:
     for atom, partial in partials.items():
         if jet[atom.gen]:
             term = apply_multi_derivative(partial, atom.mindex)
-            parts.setdefault((atom.gen, atom.comp), []).append(-term if atom.order % 2 else term)
-    return {key: Expression.sum(e.sig, terms) for key, terms in parts.items()}
+            parts.setdefault((atom.gen, atom.comp), []).append(((-1) ** atom.order, 1, (term,)))
+    return {key: Expression.sum_of_products(e.sig, terms) for key, terms in parts.items()}
 
 
 def variational_derivative(e: Expression, name: str, comp: Sequence[int] = ()) -> Expression:
@@ -184,14 +183,13 @@ def ibp_equal(e1: Expression, e2: Expression) -> bool:
 
 def _antiderivative_even(e: Expression, atom: Atom) -> Expression:
     """Formal antiderivative of ``e`` in one even atom: b^k -> b^(k+1)/(k+1),
-    over the lcm of the new divisors."""
-    out = []  # (key, numerator, divisor)
+    one ``Expression.sum_of_products`` part per new divisor k + 1."""
+    groups = {}  # new divisor -> terms
     for (even, odd), c in e._nums:
         k = 1 + next((x for a, x in even if a == atom), 0)
-        out.append(((_merge_one_even(even, atom), odd), c, k))
-    scale = math.lcm(*[k for _, _, k in out])
-    return Expression.from_terms(e.sig, [(key, c * (scale // k)) for key, c, k in out],
-                                 e.den * scale)
+        groups.setdefault(k, []).append(((_merge_one_even(even, atom), odd), c))
+    return Expression.sum_of_products(e.sig, [
+        (1, k, (Expression.from_terms(e.sig, terms, e.den),)) for k, terms in groups.items()])
 
 
 _WITNESS_BUDGET = 100_000

@@ -9,9 +9,10 @@ partial derivative by its leading jet and builds the rule with kernel
 arithmetic, so no product or derivative rule is repeated here.
 
 A density is evaluated exactly on a polynomial section in two phases: a plan
-of the density alone, memoized on it, then one pass per section in integers,
-which sums the density in Horner form over the plan's trie of leading factors
-and one common denominator.  There is one evaluator, ``_evaluate``, and one
+of the density alone, memoized on it, then flat loops per section in integers
+that read each field component, power each factor and sum the density in
+Horner form in one leaf-to-root walk over the plan's trie of leading factors,
+over one common denominator.  There is one evaluator, ``_evaluate``, and one
 integrator, ``_integrate``: from the section's values to the box integral a
 term is one int, the exponents of the variables and the parameters as
 balanced digits, with an integer numerator.  ``evaluate_density`` unpacks the
@@ -319,7 +320,8 @@ def _solve_for_leading(name: str, comp: tuple, el: Expression):
 
     The coefficient is the graded left partial derivative of EL by its leading
     atom, so EL = lead * coeff + rest; once the coefficient is an invertible
-    parameter monomial, the rule is lead -> -rest / coeff."""
+    parameter monomial, the rule is lead -> -rest / coeff, summed as
+    -inv * el + inv * lead * coeff in one accumulation."""
     sig = el.sig
     lead = max(el.jet_atoms(), key=_lead_key, default=None)
     if lead is None:
@@ -335,7 +337,8 @@ def _solve_for_leading(name: str, comp: tuple, el: Expression):
         raise NotSolvableError(
             f"leading coefficient of EL for {name}{list(comp)} is not an invertible parameter monomial"
         ) from None
-    return lead, -inv * (el - sig.from_atom(lead) * coeff)
+    return lead, Expression.sum_of_products(
+        sig, [(-1, 1, (inv, el)), (1, 1, (inv * sig.from_atom(lead), coeff))])
 
 
 def _orient(lagrangian: Expression):
@@ -466,30 +469,48 @@ def _balanced(packed: int, base: int, count: int) -> list:
 
 
 def _plan(density: Expression):
-    """What ``_evaluate`` reads of the density alone, memoized: the atoms of
-    ``_digits``, its jet atoms in canonical order, the trie of leading factors
-    as ``(parent, factor index)`` per node (node i is entry i - 1, node 0 the
-    empty product), the distinct factors, the weights ``{node: (numerator,
-    top - d)}`` of the monomials without odd factors by the node each ends at
-    (d is the jet degree, top the largest; a constant ends at the root), their
-    largest sum of absolute exponents, and top.  The only trie in jetvar."""
-    jets = density.jet_atoms()
+    """What ``_evaluate`` reads of the density alone, memoized, so that a call
+    decides nothing per density: the atoms of ``_digits`` and their positions
+    by generator; the field components in canonical jet order, each as
+    ``(generator, comp, lowest order, [(mindex, [(variable, count), ...])])``
+    over its jet atoms; the distinct leading factors as ``(jet index, digit,
+    exponent)``, the first for a jet atom and the second otherwise; the walk
+    over the trie of leading factors, one ``(node, parent, factor, weight)``
+    per node from the leaves to the root (node 0 is the empty product, and a
+    parent is numbered below its children), with ``weight = (numerator,
+    top - d)`` of the monomial without odd factors that ends at the node (d
+    its jet degree, top the largest) or None; the constant's numerator; the
+    largest sum of absolute exponents of a monomial; and top.  The only trie
+    in jetvar."""
+    sig = density.sig
+    digits = _digits(sig)
+    position = {a.gen: i for i, a in enumerate(digits)}
+    jets = sorted(density.jet_atoms())
+    components, key = [], None
+    for a in jets:
+        if (a.gen, a.comp) != key:
+            key, atoms = (a.gen, a.comp), []
+            components.append((sig.generators[a.gen], a.comp, a.order, atoms))
+        atoms.append((a.mindex, [(v, k) for v, k in enumerate(a.mindex) if k]))
+    index = {a: j for j, a in enumerate(jets)}
     root, nodes, factors, weights, sizes = {}, [], {}, {}, [(0, 0)]
     for (even, odd), c in density._nums:
         if not odd:
-            node, index = root, 0
+            node, i = root, 0
             for factor in even:
                 if factor not in node:
-                    (a, x), (d, w) = factor, sizes[index]
-                    nodes.append((index, factors.setdefault(factor, len(factors))))
-                    sizes.append((d + x * (a in jets), w + abs(x)))  # jet degree, width
+                    (a, x), (d, w) = factor, sizes[i]
+                    nodes.append((i, factors.setdefault(factor, len(factors))))
+                    sizes.append((d + x * (a in index), w + abs(x)))  # jet degree, width
                     node[factor] = (len(nodes), {})
-                index, node = node[factor]
-            weights[index] = c
+                i, node = node[factor]
+            weights[i] = c
     top = max([sizes[i][0] for i in weights], default=0)
-    weights = {i: (c, top - sizes[i][0]) for i, c in weights.items()}
+    walk = [(i, parent, k, (weights[i], top - sizes[i][0]) if i in weights else None)
+            for i, (parent, k) in reversed(list(enumerate(nodes, 1)))]
+    factors = [(index.get(a), position.get(a.gen), x) for a, x in factors]
     width = max(w for _, w in sizes)
-    return _digits(density.sig), sorted(jets), nodes, list(factors), weights, width, top
+    return digits, position, components, factors, walk, weights.get(0, 0), width, top
 
 
 def _evaluate(density: Expression, section: Section):
@@ -502,89 +523,80 @@ def _evaluate(density: Expression, section: Section):
     factors, and ``base / 2 - 1`` is the density's largest sum of absolute
     exponents of a monomial times the largest of an image (a jet's is at most
     its value's less the jet's order; a variable's or a parameter's is 1).
-    Each component is read once, over the lcm D of the components'
-    denominators; ``D_alpha`` of a term lowers each variable's exponent e by
-    k and multiplies by e!/(e-k)!.  The sum is in Horner form over the plan's
-    trie: each factor's power is built once, and from the leaves up a live
-    node (no power on its path is zero) adds its weight times D**(top - d)
-    and its subtree's sum, each times its power, into its parent's sum, over
-    D**top at the root.  A section is zero on every field not of grading
-    (even, 0, 0), so a monomial with an odd factor contributes nothing.
+    The plan holds every decision that depends on the density alone, so a
+    call runs flat loops: each field component is read once, in canonical
+    jet order, and its jets' images are derived from it over the lcm D of the
+    components' denominators (``D_alpha`` of a term lowers each variable's
+    exponent e by k and multiplies by e!/(e-k)!); each distinct factor is
+    powered once; one pass over the trie marks a node live when no power on
+    its path is zero; and one pass over the plan's walk, from the leaves up,
+    adds each live node's weight times D**(top - d) to its subtree's sum and
+    that sum times the node's power into its parent's, over D**top at the
+    root.  A section is zero on every field not of grading (even, 0, 0), so
+    a monomial with an odd factor contributes nothing.
     """
-    digits, jet_atoms, nodes, factors, weights, width, top = _memo(density, _plan)
-    position = {a.gen: i for i, a in enumerate(digits)}
-    values = {}  # (generator, component) -> rows, numerators, degree, denominator
-    for atom in jet_atoms:
-        gen = density.sig.generators[atom.gen]
+    digits, position, components, factors, walk, constant, width, top = _memo(density, _plan)
+    reads, common, degree = [], 1, 1
+    for gen, comp, order, atoms in components:
         if gen.role != FIELD:
             raise UnknownGeneratorError(f"cannot evaluate {gen.role} coordinate "
                                         f"{gen.name!r} on a section")
-        key = (atom.gen, atom.comp)
-        if key not in values:
-            value = section.value(gen.name, atom.comp)
-            values[key] = *_read(value, position), value.den
-    common = math.lcm(*[den for *_, den in values.values()])
-    degree = max([1] + [values[a.gen, a.comp][2] - a.order for a in jet_atoms])
+        value = section.value(gen.name, comp)
+        rows, nums, size = _read(value, position)
+        reads.append((rows, nums, value.den, atoms))
+        common = math.lcm(common, value.den)
+        degree = max(degree, size - order)
     base = 2 * width * degree + 2
     scale = [base ** i for i in range(len(digits))]
-    ints = {key: [_pack(exps, scale) for exps in rows] for key, (rows, *_) in values.items()}
-    images = {}
-    for atom in jet_atoms:
-        key = (atom.gen, atom.comp)
-        rows, nums, _, den = values[key]
+    images = []
+    for rows, nums, den, atoms in reads:
         lift = common // den
-        if not atom.order:
-            images[atom] = {p: n * lift for p, n in zip(ints[key], nums)}
+        terms = [(_pack(exps, scale), exps, n * lift) for exps, n in zip(rows, nums)]
+        for mindex, counts in atoms:
+            shift, image = _pack(mindex, scale), {}
+            for p, exps, n in terms:
+                for v, k in counts:
+                    n *= math.perm(exps[v], k)
+                if n:
+                    image[p - shift] = n
+            images.append(image)
+    powers = []
+    for j, digit, x in factors:
+        if j is None:  # a variable or a parameter, possibly with a negative exponent
+            powers.append({x * scale[digit]: 1})
             continue
-        shift = _pack(atom.mindex, scale)
-        counts = [(v, k) for v, k in enumerate(atom.mindex) if k]
-        image = images[atom] = {}
-        for p, exps, n in zip(ints[key], rows, nums):
-            for v, k in counts:
-                if exps[v] < k:
-                    break
-                n *= math.perm(exps[v], k)
-            else:
-                image[p - shift] = n * lift
-
-    powers, live = [None] * len(factors), [True]
-    for parent, k in nodes:
-        f = powers[k]
-        if f is None and live[parent]:
-            a, x = factors[k]
-            if a in images:
-                f = img = images[a]
-                for _ in range(x - 1):
-                    f = _packed_mul(f, img, {})
-            else:  # a variable or a parameter, possibly with a negative exponent
-                f = {x * scale[position[a.gen]]: 1}
-            powers[k] = f
-        live.append(live[parent] and bool(f))
+        f = img = images[j]
+        for _ in range(x - 1):
+            f = _packed_mul(f, img, {})
+        powers.append(f)
+    live = [True]
+    for _, parent, k, _ in reversed(walk):
+        live.append(live[parent] and bool(powers[k]))
     lifts = [common ** e for e in range(top + 1)]
-    sums = [{0: weights[0][0] * lifts[top]} if 0 in weights else {}] + [None] * len(nodes)
-    for i in range(len(nodes), 0, -1):
-        total, weight = sums[i], weights.get(i)
-        if live[i] and (total or weight):
-            parent, k = nodes[i - 1]
-            f = powers[k]
-            acc = sums[parent] = sums[parent] or {}
-            if weight:
-                c, e = weight
-                w, get = c * lifts[e], acc.get
-                for p, n in f.items():
-                    acc[p] = get(p, 0) + n * w
-            if total:
-                _packed_mul(f, total, acc)
+    sums = [{0: constant * lifts[top]} if constant else {}] + [None] * len(walk)
+    for node, parent, k, weight in walk:
+        if not live[node]:
+            continue
+        f, total = powers[k], sums[node]
+        acc = sums[parent] = sums[parent] or {}
+        if weight:
+            w = weight[0] * lifts[weight[1]]
+            for p, n in f.items():
+                acc[p] = acc[p] + n * w if p in acc else n * w
+        if total:
+            for p1, n1 in f.items():
+                for p2, n2 in total.items():
+                    p = p1 + p2
+                    acc[p] = acc[p] + n1 * n2 if p in acc else n1 * n2
     return digits, base, sums[0].items(), density.den * lifts[top]
 
 
 def _packed_mul(f: dict, g: dict, acc: dict) -> dict:
     """The product of two packed ``{packed: numerator}`` dicts, added into ``acc``."""
-    get = acc.get
     for p1, n1 in f.items():
         for p2, n2 in g.items():
             p = p1 + p2
-            acc[p] = get(p, 0) + n1 * n2
+            acc[p] = acc[p] + n1 * n2 if p in acc else n1 * n2
     return acc
 
 
@@ -623,25 +635,30 @@ def _integrate(sig: Signature, packed, spans: list) -> Expression:
 
     The moment of x^k over [p/r, q/r] is (q^(k+1) - p^(k+1)) / (r^(k+1) (k+1));
     with top = base/2 - 1 bounding every exponent, each variable has one
-    table of them over r^(top+1) lcm(1..top+1), and a term that lacks the
-    variable reads the box length at k = 0.  Variable digits are nonnegative
-    and lowest, so ``divmod`` peels them off a term; what is left is its
-    parameter part, and the parts are grouped before one ``from_terms``.
+    table of them over r^(top+1) lcm(1..top+1), built by recurrence (each
+    entry takes p^(k+1) and q^(k+1) one factor up and r^(top-k) one down),
+    and a term that lacks the variable reads the box length at k = 0.
+    Variable digits are nonnegative and lowest, so ``%`` and ``//`` peel them
+    off a term; what is left is its parameter part, and the parts are
+    grouped before one ``from_terms``.
     """
     digits, base, terms, den = packed
     top = base // 2 - 1
     lcm = math.lcm(*range(1, top + 2))
     tables = []
     for p, q, r in spans:
-        tables.append([(q ** (k + 1) - p ** (k + 1)) * r ** (top - k) * (lcm // (k + 1))
-                       for k in range(top + 1)])
+        table, pk, qk, rk = [], p, q, r ** top
+        for k in range(top + 1):
+            table.append((qk - pk) * rk * (lcm // (k + 1)))
+            pk, qk, rk = pk * p, qk * q, rk // r
+        tables.append(table)
         den *= r ** (top + 1) * lcm
     grouped = {}
     get = grouped.get
     for rest, n in terms:
         for table in tables:
-            rest, k = divmod(rest, base)
-            n *= table[k]
+            n *= table[rest % base]
+            rest //= base
         grouped[rest] = get(rest, 0) + n
     params = digits[len(spans):]
     out = []

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetvar import builtin, core
+from jetvar import builtin, core, jetcalc
 from jetvar.core import (
     Atom,
     EVEN,
@@ -301,7 +301,8 @@ def test_only_the_kernel_merges_factor_lists():
 
 def test_one_owner_brings_parts_to_a_common_denominator():
     # every sum of scaled parts goes through Expression.sum_of_products: a
-    # second lcm in the kernel would be a second copy of its scaling loop
+    # second lcm in the kernel or in jetcalc would be a second copy of its
+    # scaling loop
     def lcm_lines(tree):
         return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute) and node.func.attr == "lcm"}
@@ -310,3 +311,4 @@ def test_one_owner_brings_parts_to_a_common_denominator():
     owners = {f.name: lcm_lines(f) for f in ast.walk(tree)
               if isinstance(f, ast.FunctionDef) and lcm_lines(f)}
     assert owners == {"sum_of_products": lcm_lines(tree)}
+    assert not lcm_lines(ast.parse(pathlib.Path(jetcalc.__file__).read_text()))

@@ -1048,6 +1048,19 @@ def boxes(draw, sig):
     return box
 
 
+@st.composite
+def edge_boxes(draw, sig):
+    """Bounds of one shape for every variable: all reversed (hi < lo), all
+    of zero width, or all negative."""
+    shape = draw(st.sampled_from(("reversed", "zero width", "negative")))
+    box = {}
+    for var in sig.variables:
+        lo, hi = sorted(draw(st.lists(bounds, min_size=2, max_size=2, unique=True)))
+        box[var.name] = {"reversed": (hi, lo), "zero width": (lo, lo),
+                         "negative": (lo - 4, hi - 4)}[shape]
+    return box
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @PROPERTY
 @given(data=st.data())
@@ -1055,16 +1068,21 @@ def test_integrate_box_polynomial_equals_the_fraction_moments(n, data):
     sig = SIGS[n]
     m = sig.from_atom(sig.atom("m"))
     names = [v.name for v in sig.variables]
-    terms = []
+    terms, top = [], 0
     for _ in range(data.draw(st.integers(0, 4))):
-        term = sig.const(data.draw(coefficients))
+        term, size = sig.const(data.draw(coefficients)), 0
         for name in data.draw(st.lists(st.sampled_from(names), unique=True)):
-            term = term * sig.coord(name) ** data.draw(st.integers(1, 12))
+            x = data.draw(st.integers(1, 12))
+            term = term * sig.coord(name) ** x
+            size += x
         k = data.draw(st.integers(-3, 3))
         term = term * (m ** k if k >= 0 else invert_monomial(m ** -k))
         terms.append(term)
+        top = max(top, size + abs(k))
+    # a pure power of the largest degree reads the last entry of its moment table
+    terms.append(sig.coord(data.draw(st.sampled_from(names))) ** top)
     e = Expression.sum(sig, terms)
-    box = data.draw(boxes(sig))
+    box = data.draw(st.one_of(boxes(sig), edge_boxes(sig)))
     got = integrate_box_polynomial(e, box)
     assert got == _integral_reference(e, box)
     _assert_normal(got)

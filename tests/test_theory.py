@@ -573,6 +573,9 @@ def _horner_case(name):
             dict(plain, v=t * m + x)),
         "denominators": (u * v + v ** 2 * w * vx + q(1, 2) * w + 7 * one,
                          {"u": t * q(1, 3), "v": x * q(1, 4) + q(1, 6), "w": t * x * q(2, 5)}),
+        # v_x is zero on v = t^2 + 1, and its square stands under the live prefix u
+        "zero square under a live prefix": (u * vx ** 2 * w - u * vx ** 2 + 3 * u * w + u * v,
+                                            dict(plain, v=t ** 2 + 1)),
     }[name]
     theory = Theory(sig, sig.zero())
     return density, Section(theory, {(k, ()): e for k, e in values.items()})
@@ -581,6 +584,7 @@ def _horner_case(name):
 @pytest.mark.parametrize("name", [
     "inner nodes", "constant", "constant alone", "zero power under a prefix",
     "zero value under a prefix", "negative exponent in a prefix", "denominators",
+    "zero square under a live prefix",
 ])
 def test_horner_walk_equals_substitution_of_the_jets(name):
     density, section = _horner_case(name)
@@ -596,10 +600,11 @@ def test_horner_walk_equals_substitution_of_the_jets(name):
 
 def test_horner_walk_weights_inner_nodes():
     # the shapes above reach the plan: weights at inner nodes and at the root
-    _, _, nodes, _, weights, _, _ = theory_module._plan(_horner_case("inner nodes")[0])
-    assert {parent for parent, _ in nodes} & set(weights)
-    _, _, _, _, weights, _, _ = theory_module._plan(_horner_case("constant")[0])
-    assert 0 in weights
+    *_, walk, _, _, _ = theory_module._plan(_horner_case("inner nodes")[0])
+    weighted = {node for node, _, _, weight in walk if weight}
+    assert {parent for _, parent, _, _ in walk} & weighted
+    *_, constant, _, _ = theory_module._plan(_horner_case("constant")[0])
+    assert constant == 5
 
 
 def test_errors_are_not_memoized(mech_sig):
@@ -614,6 +619,11 @@ def test_errors_are_not_memoized(mech_sig):
     gsig = Signature([Generator("t", VAR), Generator("c", GHOST, grading=Grading(ODD, 1)),
                       Generator("u", FIELD)], [1])
     ghost_first = gsig.coord("c") * gsig.coord("c", d=("t",)) * gsig.coord("u")
+    # u and its higher jets are read before the unassigned v
+    fsig = Signature([Generator("t", VAR), Generator("u", FIELD), Generator("v", FIELD)], [1])
+    ut2, ut3 = fsig.coord("u", d=("t", "t")), fsig.coord("u", d=("t", "t", "t"))
+    u_first = ut2 * ut3 * fsig.coord("v") + fsig.coord("u")
+    u_only = Section(Theory(fsig, fsig.zero()), {("u", ()): fsig.coord("t") ** 4})
     cases = [
         (evaluate_density, (th1 * th2, empty), UnknownGeneratorError,
          "cannot evaluate ghost coordinate 'th1' on a section"),
@@ -627,6 +637,8 @@ def test_errors_are_not_memoized(mech_sig):
          "section does not assign field component u[]"),
         (evaluate_density, (ghost_first, Section(Theory(gsig, gsig.zero()), {})),
          UnknownGeneratorError, "cannot evaluate ghost coordinate 'c' on a section"),
+        (integrate_on_box_expression, (u_first, u_only, box), MissingCharacteristicError,
+         "section does not assign field component v[]"),
     ]
     for call, args, error, message in cases:
         raised = []
