@@ -577,9 +577,6 @@ class Expression:
             return Fraction(self._nums[0][1], self.den)
         raise UnknownGeneratorError("expression is not a rational constant")
 
-    def monomial_grading(self, mono: Monomial) -> Grading:
-        return self._key_grading((mono.even, mono.odd))
-
     def _key_grading(self, key: tuple) -> Grading:
         """Grading of the monomial with key ``(even, odd)``."""
         even, odd = key
@@ -697,12 +694,17 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
     """Simultaneous substitution of atoms by equally-graded expressions.
 
     One call builds each factor image ``repl ** x`` once; an unbound factor
-    is its own image.  A monomial's image is the product of its factor
-    images in stored order (even factors, then odd ones), starting from the
-    first and stopping at the first zero prefix; monomials share no
-    products.  Each monomial is one ``sum_of_products`` part, the product of
-    its factors but the last and its last image, and the monomials with no
-    bound factor are one more part, copied as they are.
+    is its own image.  A parameter with a negative exponent ``x`` has the
+    image ``invert_monomial(repl) ** -x``, so its replacement must be a
+    nonzero constant or a parameter monomial; a parameter bound to 0 that
+    occurs with a negative exponent is an error, also in a term that another
+    factor makes zero.  A monomial's image is the
+    product of its factor images in stored order (even factors, then odd
+    ones), starting from the first and stopping at the first zero prefix;
+    monomials share no products.  Each monomial is one ``sum_of_products``
+    part, the product of its factors but the last and its last image, and
+    the monomials with no bound factor are one more part, copied as they
+    are.
     ``theory.evaluate_density`` is checked against this.
     """
     sig = e.sig
@@ -715,6 +717,12 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
                 f"replacement for atom of grading {want} is not homogeneous of that grading"
             )
         bound[atom] = repl
+    zero = {a for a, repl in bound.items() if not repl and sig.generators[a.gen].role == PARAM}
+    if zero:
+        negative = [a for (even, _), _ in e._nums for a, x in even if x < 0 and a in zero]
+        if negative:
+            raise GradingViolationError(f"parameter {sig.generators[min(negative).gen].name!r} "
+                                        "is bound to 0 but occurs with a negative exponent")
 
     images = {}
 
@@ -725,12 +733,15 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
             repl = bound.get(a)
             if repl is None:
                 f = _power(sig, a, x)
-            elif x < 0:
-                raise GradingViolationError(
-                    "cannot substitute a parameter occurring with a negative exponent"
-                )
-            else:
+            elif x >= 0:
                 f = repl ** x
+            else:
+                try:
+                    f = invert_monomial(repl) ** -x
+                except GradingViolationError:
+                    raise GradingViolationError(
+                        "cannot substitute a parameter occurring with a negative exponent"
+                    ) from None
             images[factor] = f
         return f
 

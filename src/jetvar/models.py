@@ -2,22 +2,17 @@
 
 Every builtin is defined by its model-file source and constructed through the
 parser, so the shipped files and the in-memory descriptors cannot drift
-apart.  The expected tables are verified end-to-end by the test harness.
+apart.  What each builtin satisfies (its EL system, gauge identities, master
+equation and Koszul-Tate nilpotence) is checked by the test suite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .bv import BVExtension, check_master_equation, extend_to_bv, koszul_tate_apply
+from .bv import BVExtension, extend_to_bv
 from .errors import UnknownGeneratorError
-from .theory import (
-    EvolutionaryVF,
-    Theory,
-    euler_lagrange_system,
-    is_noether_identity,
-    is_symmetry,
-)
+from .theory import Theory
 
 _VAR_NAMES = ("t", "x", "y", "z")
 _GAUGE_DIMS = (2, 3, 4)
@@ -89,38 +84,12 @@ _SOURCES = {
     "yang_mills_su2": yang_mills_su2_source,
 }
 
-_EXPECTED = {
-    "free_particle": {
-        "newton_equation": True,
-        "master_holds": True,
-        "kt_nilpotent": True,
-    },
-    "scalar_phi4": {
-        "el_nontrivial": True,
-        "master_holds": True,
-        "kt_nilpotent": True,
-    },
-    "maxwell": {
-        "noether_identity": True,
-        "gauge_symmetry": True,
-        "master_holds": True,
-        "kt_nilpotent": True,
-    },
-    "yang_mills_su2": {
-        "noether_identity": True,
-        "gauge_symmetry": True,
-        "master_holds": True,
-        "kt_nilpotent": True,
-    },
-}
-
 
 class ModelDescriptor(NamedTuple):
     name: str
     source: str
     theory: Theory
     bv: Optional[BVExtension]
-    expected: Dict[str, bool]
 
 
 def list_models():
@@ -175,81 +144,5 @@ def builtin(name: str, dim: Optional[int] = None, potential: Optional[str] = Non
         theory, bv = parsed.base, parsed
     else:
         theory, bv = parsed, extend_to_bv(parsed, [])
-    return ModelDescriptor(name, source, theory, bv, dict(_EXPECTED[name]))
+    return ModelDescriptor(name, source, theory, bv)
 
-
-# ---------------------------------------------------------------------------
-# the expected-table checks
-
-
-def _check_newton_equation(desc: ModelDescriptor) -> bool:
-    """EL_i must be -m * u_i'' minus the gradient of the potential."""
-    theory = desc.theory
-    sig = theory.signature
-    el = euler_lagrange_system(theory)
-    m = sig.from_atom(sig.atom("m"))
-    kinetic = theory.parse("1/2 * m * d(u[i];t) * d(u[i];t)")
-    potential = kinetic - theory.lagrangian
-    from .core import partial_derivative
-
-    for i in (1, 2, 3):
-        expected = -(m * sig.coord("u", (i,), d=("t", "t"))) - partial_derivative(
-            potential, sig.atom("u", (i,))
-        )
-        if el[("u", (i,))] != expected:
-            return False
-    return True
-
-
-def _check_el_nontrivial(desc: ModelDescriptor) -> bool:
-    return any(not e.is_zero() for e in euler_lagrange_system(desc.theory).values())
-
-
-def _check_noether_identity(desc: ModelDescriptor) -> bool:
-    if desc.bv is None or not desc.bv.gauge:
-        return False
-    return all(
-        is_noether_identity(desc.theory, op)
-        for pair in desc.bv.gauge
-        for op in pair.operators.values()
-    )
-
-
-def _check_gauge_symmetry(desc: ModelDescriptor) -> bool:
-    """The BRST transform of the fields is a symmetry of the action."""
-    from .bv import brst_apply
-
-    bv = desc.bv
-    sig = bv.signature
-    chars = {}
-    for name, comp in bv.theory.field_components():
-        chars[(name, comp)] = brst_apply(bv, sig.from_atom(sig.atom(name, comp)))
-    vf = EvolutionaryVF(bv.theory, chars)
-    return is_symmetry(bv.theory, vf)
-
-
-def _check_master_holds(desc: ModelDescriptor) -> bool:
-    return check_master_equation(desc.bv).holds
-
-
-def _check_kt_nilpotent(desc: ModelDescriptor) -> bool:
-    bv = desc.bv
-    for expr in bv.generator_expressions().values():
-        if not koszul_tate_apply(bv, koszul_tate_apply(bv, expr)).is_zero():
-            return False
-    return True
-
-
-_CHECKS = {
-    "newton_equation": _check_newton_equation,
-    "el_nontrivial": _check_el_nontrivial,
-    "noether_identity": _check_noether_identity,
-    "gauge_symmetry": _check_gauge_symmetry,
-    "master_holds": _check_master_holds,
-    "kt_nilpotent": _check_kt_nilpotent,
-}
-
-
-def run_checks(desc: ModelDescriptor) -> Dict[str, bool]:
-    """Evaluate every check named in the descriptor's expected table."""
-    return {name: _CHECKS[name](desc) for name in desc.expected}

@@ -47,7 +47,6 @@ from .core import (
 )
 from . import jetcalc
 from .errors import (
-    DomainError,
     GeneratorMismatchError,
     GradingViolationError,
     MissingCharacteristicError,
@@ -535,6 +534,8 @@ def _evaluate(density: Expression, section: Section):
     root.  A section is zero on every field not of grading (even, 0, 0), so
     a monomial with an odd factor contributes nothing.
     """
+    if section.theory.signature != density.sig:
+        raise GeneratorMismatchError("section belongs to a different theory")
     digits, position, components, factors, walk, constant, width, top = _memo(density, _plan)
     reads, common, degree = [], 1, 1
     for gen, comp, order, atoms in components:
@@ -700,40 +701,18 @@ def integrate_on_box(
 ) -> Fraction:
     """Exact rational value of a functional on a polynomial section over a box.
 
-    A bound parameter may occur with a negative exponent unless it is bound
-    to 0: ``substitute`` binds nonnegative powers only, so the value is first
-    multiplied by ``m**k`` for each bound ``m`` whose lowest exponent is
-    ``-k``, and the result divided by ``v**k``.
+    The parameters are bound by one ``substitute`` call, so a bound
+    parameter may occur with a negative exponent unless it is bound to 0.
     """
     value = integrate_on_box_expression(functional, section, box)
     if params:
         sig = value.sig
-        values, bindings = {}, {}
+        bindings = {}
         for name, v in params.items():
             gid = sig.generator_id(name)
             if sig.generators[gid].role != PARAM:
                 raise UnknownGeneratorError(f"{name!r} is not a parameter")
-            atom = sig.atom(name)
-            values[atom] = v = Fraction(v)
-            bindings[atom] = Expression.from_terms(sig, ((((), ()), v.numerator),), v.denominator)
-        lowest = {}
-        for (even, _), _ in value._nums:
-            for a, x in even:
-                if a in bindings and x < lowest.get(a, 0):
-                    lowest[a] = x
-        if lowest:
-            clear = tuple((a, -x) for a, x in sorted(lowest.items()))
-            scale = Fraction(1)
-            for a, k in clear:
-                v = values[a]
-                if not v:
-                    raise DomainError(
-                        f"parameter {sig.generators[a.gen].name!r} is bound to 0 "
-                        "but occurs with a negative exponent"
-                    )
-                scale /= v ** k
-            value = value * Expression.from_terms(
-                sig, [((clear, ()), scale.numerator)], scale.denominator)
+            bindings[sig.atom(name)] = sig.const(v)
         value = substitute(value, bindings)
     try:
         return value.constant_value()

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jetvar import cli
+from jetvar.bv import BVExtension
 from jetvar.cli import EXIT_INTERNAL, EXIT_PIPE, cli_dispatch
-from jetvar.parser import _Parser
+from jetvar.parser import _Parser, parse_expression, parse_model
+from jetvar.printer import format_expression
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -664,34 +666,50 @@ def test_determinism():
 
 
 # -- exit-code fuzz: one to three token mutations of a shipped model or of
-# its expression flag (--expr, --q, --op, --section), run in process; every
-# outcome is a verdict, a parse error or a domain error, and a parse error
-# points inside the text it read
+# one of its flag values (an expression, an assignment, a box or a parameter
+# binding), run in process; every outcome is a verdict, a parse error or a
+# domain error, a parse error points inside the text it read, and every EL
+# system printed with exit 0 reads back to the same text
 
 _FLAGS = {
     "free.jv": {"kt": ("--expr", "u*"), "symm": ("--q", "u=u"), "noether": ("--op", "EL(u)"),
-                "eval": ("--section", "u=t^2", "--box", "t=0..1", "--param", "m=1")},
+                "eval": ("--section", "u=t^2", "--box", "t=0..1", "--param", "m=1"),
+                "divergence": ("--expr", "2*u*d(u;t) + m^-1*d(u;t)*d(d(u;t);t)"),
+                "brst": ("--expr", "u* * d(u;t)"),
+                "bracket": ("--f", "1/2*m*d(u;t)^2", "--g", "u*")},
     "free_particle.jv": {"kt": ("--expr", "u*[1]"), "symm": ("--q", "u[i]=d(u[i];t)"),
                          "noether": ("--op", "d(EL(u[1]);t)"),
-                         "eval": ("--section", "u[i]=t", "--box", "t=0..1", "--param", "m=1")},
+                         "eval": ("--section", "u[i]=t", "--box", "t=0..1", "--param", "m=1"),
+                         "divergence": ("--expr", "u[i]*d(u[i];t)"),
+                         "brst": ("--expr", "u*[1]"),
+                         "bracket": ("--f", "u*[i]*d(u[i];t)", "--g", "u[1]^2")},
     "maxwell.jv": {"kt": ("--expr", "C*"), "symm": ("--q", "A[mu]=d(C;mu)"),
                    "noether": ("--op", "d(EL(A[nu]);nu)"),
-                   "eval": ("--section", "A[mu]=t*x", "--box", "t=0..1,x=0..1")},
+                   "eval": ("--section", "A[mu]=t*x", "--box", "t=0..1,x=0..1"),
+                   "divergence": ("--expr", "d(A[mu];mu)"),
+                   "brst": ("--expr", "A[mu]*A*[mu]"),
+                   "bracket": ("--f", "A*[mu]*d(C;mu)", "--g", "A[nu]*A[nu]")},
     "scalar_phi4.jv": {"kt": ("--expr", "phi*"), "symm": ("--q", "phi=d(phi;t)"),
                        "noether": ("--op", "EL(phi)"),
                        "eval": ("--section", "phi=t+x", "--box", "t=0..1,x=0..1",
-                                "--param", "m=1", "--param", "g=2")},
+                                "--param", "m=1", "--param", "g=2"),
+                       "divergence": ("--expr", "phi*d(phi;t)"),
+                       "brst": ("--expr", "phi*"),
+                       "bracket": ("--f", "phi*", "--g", "m*phi^3")},
     "yang_mills_su2.jv": {"kt": ("--expr", "C*[1]"), "symm": ("--q", "A[a,mu]=d(C[a];mu)"),
                           "noether": (
                               "--op", "-d(EL(A[1,nu]);nu) - eps[1,a,c]*A[a,nu]*EL(A[c,nu])"),
-                          "eval": ("--section", "A[a,mu]=t*x", "--box", "t=0..1,x=0..1")},
+                          "eval": ("--section", "A[a,mu]=t*x", "--box", "t=0..1,x=0..1"),
+                          "divergence": ("--expr", "A[a,mu]*d(A[a,mu];t)"),
+                          "brst": ("--expr", "A[a,mu]*A[a,mu]"),
+                          "bracket": ("--f", "A*[a,mu]*d(C[a];mu)", "--g", "A[1,0]*A[2,1]")},
 }
-_COMMANDS = ("el", "master", "kt", "symm", "noether", "eval")
+_COMMANDS = ("el", "master", "kt", "symm", "noether", "eval", "divergence", "brst", "bracket")
 _MODEL_TEXTS = {name: (MODELS / name).read_text() for name in _FLAGS}
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\*?|\d+|\.\.|\S")
 _POOL = sorted({tok for text in _MODEL_TEXTS.values() for tok in _TOKEN.findall(text)}
                | {tok for flags in _FLAGS.values() for argv in flags.values()
-                  for tok in _TOKEN.findall(argv[1])}
+                  for value in argv[1::2] for tok in _TOKEN.findall(value)}
                | {"0", "-1", "1/0", "..", "^", "=", ";", "\\", "#"})
 _POSITION = re.compile(r"parse error: (\d+)(?::(\d+))?: ")
 
@@ -740,7 +758,10 @@ def test_mutated_inputs_exit_with_a_verdict_or_an_error(tmp_path_factory, data):
     if not flags or data.draw(st.booleans(), label="mutate the model"):
         text = data.draw(_mutated(text), label="model text")
     else:
-        flags[1] = data.draw(_mutated(flags[1]), label="flag")
+        i = data.draw(st.sampled_from(range(1, len(flags), 2)), label="flag value")
+        flags[i] = data.draw(_mutated(flags[i]), label="flag")
+    if command == "divergence" and data.draw(st.booleans(), label="witness"):
+        flags.append("--witness")
     path = tmp_path_factory.getbasetemp() / "fuzzed.jv"
     path.write_text(text, encoding="utf-8")
     code, out = run(command, str(path), *flags)
@@ -749,3 +770,9 @@ def test_mutated_inputs_exit_with_a_verdict_or_an_error(tmp_path_factory, data):
     if where:
         line, col = int(where[1]), where[2] and int(where[2])
         assert _inside(line, col, [text, *flags]), out
+    if command == "el" and code == 0:
+        parsed = parse_model(text)
+        theory = parsed.base if isinstance(parsed, BVExtension) else parsed
+        for printed in out.splitlines():
+            rhs = printed.split(" = ", 1)[1]
+            assert format_expression(parse_expression(rhs, theory)) == rhs, printed

@@ -8,7 +8,8 @@ divergence verdict against their direct formulas, of the antibracket's graded
 antisymmetry and Leibniz rule modulo divergences, of the packed evaluation
 of densities on sections against substitution, of integer box integration
 against the rational moment formula, of the fused packed evaluation and
-integration against both, of the printer/parser round trip, and of
+integration against both, of parameter binding in box integrals against
+rational arithmetic, of the printer/parser round trip, and of
 gauge operators read back from their printed form."""
 
 import functools
@@ -61,6 +62,7 @@ from jetvar.theory import (  # noqa: E402
     euler_lagrange_system,
     evaluate_density,
     integrate_box_polynomial,
+    integrate_on_box,
     integrate_on_box_expression,
     on_shell_reduce,
 )
@@ -448,7 +450,7 @@ BV_SIGS = {n: _bv_signature(n) for n in (1, 2, 3)}
 
 def _of_parity(e: Expression, parity: int) -> Expression:
     """The part of ``e`` of one parity; zero counts as either."""
-    return Expression(e.sig, tuple(m for m in e.terms if e.monomial_grading(m).parity == parity))
+    return Expression(e.sig, tuple(m for m in e.terms if len(m.odd) % 2 == parity))
 
 
 def _product_reference(a: Expression, b: Expression) -> dict:
@@ -893,17 +895,30 @@ def replacements(draw, sig, atom):
 
 def _substitute_reference(e: Expression, bindings) -> Expression:
     """Substitution as first written: const(coeff) times each factor's
-    replacement, raised by repeated products, in factor order."""
+    replacement, raised by repeated products, in factor order.  A bound
+    parameter with a negative exponent multiplies by the inverse of its
+    replacement, which must be a nonzero constant or a parameter monomial;
+    bound to 0, it is an error even after a zero factor."""
     sig = e.sig
+    for m in e.terms:
+        for a, x in m.even:
+            if x < 0 and a in bindings and bindings[a].is_zero():
+                raise GradingViolationError("parameter bound to 0 with a negative exponent")
     images = []
     for m in e.terms:
         acc = sig.const(m.coeff)
         factors = list(m.even) + [(a, 1) for a in m.odd]
         for a, x in factors:
             if x < 0:
-                if a in bindings:
-                    raise GradingViolationError("bound parameter with a negative exponent")
-                acc = acc * Expression(sig, (Monomial(Fraction(1), ((a, x),), ()),))
+                terms = bindings.get(a, sig.from_atom(a)).terms
+                if len(terms) != 1 or terms[0].odd or any(
+                        sig.generators[b.gen].role != PARAM for b, _ in terms[0].even):
+                    raise GradingViolationError("no inverse of the replacement")
+                coeff, even, _ = terms[0]
+                inverse = Expression(
+                    sig, (Monomial(1 / coeff, tuple((b, -y) for b, y in even), ()),))
+                for _ in range(-x):
+                    acc = acc * inverse
                 continue
             repl = bindings.get(a, sig.from_atom(a))
             for _ in range(x):
@@ -1103,6 +1118,28 @@ def test_integrate_on_box_expression_equals_the_integral_of_the_substituted_jets
     _assert_normal(got)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_integrate_on_box_binds_a_laurent_parameter(n, data):
+    # the reference reads the symbolic value's terms with Fraction arithmetic
+    sig = SIGS[n]
+    names = tuple(v.name for v in sig.variables) + ("m", "u", "v")
+    density = data.draw(laurent(sig, names))
+    section = data.draw(laurent_sections(sig))
+    box = data.draw(boxes(sig))
+    value = data.draw(st.one_of(st.just(Fraction(0)), bounds))
+    terms = integrate_on_box_expression(density, section, box).terms
+    values = {sig.atom("m"): value}
+    if not value and any(x < 0 for mono in terms for _, x in mono.even):
+        with pytest.raises(GradingViolationError, match="^parameter 'm' is bound to 0 but"):
+            integrate_on_box(density, section, box, {"m": value})
+        return
+    expected = sum((mono.coeff * math.prod(values[a] ** x for a, x in mono.even)
+                    for mono in terms), Fraction(0))
+    assert integrate_on_box(density, section, box, {"m": value}) == expected
+
+
 def test_integrate_a_high_power():
     sig = SIGS[1]
     lo, hi = Fraction(-1, 3), Fraction(2, 5)
@@ -1116,10 +1153,19 @@ def test_substitute_negative_parameter_exponents():
     e = invert_monomial(m * m) * u + u * u
     # unbound, the Laurent factor is kept
     assert substitute(e, {sig.atom("u", (1,)): m}) == invert_monomial(m) + m * m
-    # bound, it is an error unless an earlier factor already made the term zero
-    with pytest.raises(GradingViolationError):
-        substitute(e, {sig.atom("m"): sig.const(2)})
+    # bound to a nonzero constant or a parameter monomial, it is inverted
+    assert substitute(e, {sig.atom("m"): sig.const(2)}) == u * Fraction(1, 4) + u * u
+    assert (substitute(e, {sig.atom("m"): invert_monomial(m) * 3})
+            == m * m * u * Fraction(1, 9) + u * u)
+    # bound to 0, it is an error, also where an earlier factor made the term zero
     t = sig.coord("t")
+    for e0 in (e, invert_monomial(m) * t):
+        with pytest.raises(GradingViolationError, match="^parameter 'm' is bound to 0 but"):
+            substitute(e0, {sig.atom("t"): sig.zero(), sig.atom("m"): sig.zero()})
+    # bound to anything else, it is an error unless an earlier factor already
+    # made the term zero
+    with pytest.raises(GradingViolationError, match="^cannot substitute a parameter"):
+        substitute(e, {sig.atom("m"): t})
     assert substitute(invert_monomial(m) * t, {sig.atom("t"): sig.zero(), sig.atom("m"): t}) == 0
 
 

@@ -35,6 +35,7 @@ from jetvar.errors import (
     UnknownGeneratorError,
 )
 from jetvar.models import builtin
+from jetvar.parser import parse_model
 from jetvar.theory import (
     EvolutionaryVF,
     LocalFunctional,
@@ -337,6 +338,17 @@ class TestIntegrateOnBox:
         section = Section(mech, {("u", ()): sig.coord("t")})
         with pytest.raises(UnboundParameterError):
             integrate_on_box(mech.functional(mech.lagrangian), section, {"t": (0, 1)})
+
+    def test_section_from_another_theory_is_rejected(self):
+        # the section's atoms used to be read by generator id against the
+        # density's signature, so m*t on one theory evaluated as g*t on the other
+        one = parse_model("vars t\nparams m\nfield u\nlagrangian u\n")
+        other = parse_model("vars t\nparams g, m\nfield u\nlagrangian u\n")
+        section = Section(one, {("u", ()): one.parse("m*t")})
+        with pytest.raises(GeneratorMismatchError, match="section belongs to a different theory"):
+            evaluate_density(other.lagrangian, section)
+        with pytest.raises(GeneratorMismatchError, match="section belongs to a different theory"):
+            integrate_on_box_expression(other.lagrangian, section, {"t": (0, 1)})
 
     def test_grading_guards(self, mech_sig):
         th = mech_sig.coord("th1")
