@@ -717,7 +717,7 @@ def substitute(e: Expression, bindings: Mapping[Atom, Expression]) -> Expression
                 f"replacement for atom of grading {want} is not homogeneous of that grading"
             )
         bound[atom] = repl
-    zero = {a for a, repl in bound.items() if not repl and sig.generators[a.gen].role == PARAM}
+    zero = {a for a, repl in bound.items() if not repl}
     if zero:
         negative = [a for (even, _), _ in e._nums for a, x in even if x < 0 and a in zero]
         if negative:

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from jetvar.bv import BVExtension, brst_apply, check_master_equation, koszul_tate_apply
+from jetvar.core import partial_derivative
 from jetvar.errors import ParseError, UnknownGeneratorError
 from jetvar.models import builtin, list_models, model_source
 from jetvar.parser import parse_model
@@ -70,8 +71,10 @@ def test_configurable_potential():
     sig = desc.theory.signature
     el = euler_lagrange_system(desc.theory)
     m = sig.from_atom(sig.atom("m"))
-    u1 = sig.coord("u", (1,))
-    assert el[("u", (1,))] == -(m * sig.coord("u", (1,), d=("t", "t"))) - u1 ** 3 * 4
+    potential = desc.theory.parse("u[1]^4 + 1/2*u[2]^2")
+    for i in (1, 2, 3):  # Newton: EL_i = -m u_i'' - dV/du_i, with u[3] free
+        assert el[("u", (i,))] == (-(m * sig.coord("u", (i,), d=("t", "t")))
+                                   - partial_derivative(potential, sig.atom("u", (i,))))
 
 
 def test_potential_is_parsed_on_its_own():
