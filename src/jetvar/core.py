@@ -5,8 +5,9 @@ antibracket) reduces to arithmetic in one structure: a free graded-commutative
 algebra over the rationals whose atoms are jet coordinates ``u^a_alpha``,
 independent variables, and parameters.  Expressions are kept in a unique
 canonical normal form, so equality and zero-recognition are exact, and every
-Koszul sign is produced by one mechanism: counting odd transpositions while
-sorting odd factors into the canonical atom order.
+Koszul sign is produced by one mechanism, ``_merge_odd``: counting odd
+transpositions while sorting odd factors into the canonical atom order
+(``jetcalc``'s terms gain one atom at a time through it, by ``_mul_atom``).
 
 Coefficients are integer numerators over one positive denominator per
 expression, reduced so that ``gcd(den, *numerators) == 1`` (the layout of
@@ -334,6 +335,16 @@ def _merge_odd(o1: tuple, o2: tuple):
     out.extend(o1[i:])
     out.extend(o2[j:])
     return tuple(out), (-1 if inversions % 2 else 1)
+
+
+def _mul_atom(key: tuple, atom: Atom, odd: bool):
+    """The key of ``atom`` times the monomial ``key = (even, odd)`` and the
+    Koszul sign of bringing the atom into place, or None if an odd atom squares."""
+    even, odds = key
+    if not odd:
+        return (_merge_even(((atom, 1),), even), odds), 1
+    merged, sign = _merge_odd((atom,), odds)
+    return None if merged is None else ((even, merged), sign)
 
 
 def _multiply_into(out: list, left: tuple, right: tuple, scale: int) -> None:

@@ -2,6 +2,7 @@
 
 All functions act on normal-form expressions; the theory-level wrappers in
 ``jetvar.theory`` add the bookkeeping around densities and functionals.
+A term gains an atom, with its Koszul sign, through the kernel's ``_mul_atom``.
 
 The Euler operator rests on the kernel's sweep (``core._sweep``): a single
 pass over the terms gives every graded left partial derivative, and from those
@@ -32,6 +33,7 @@ from .core import (
     PARAM,
     VAR,
     _memo,
+    _mul_atom,
     _sweep,
     partial_derivative,
 )
@@ -73,46 +75,21 @@ def total_derivative(e: Expression, var: VarRef) -> Expression:
                 if a.gen == var_gid:
                     out.append(((lowered, odd), c * x))
                 continue
-            shifted = sig.shift_atom(a, pos)
-            out.append(((_merge_one_even(lowered, shifted), odd), c * x))
+            new, _ = _mul_atom((lowered, odd), sig.shift_atom(a, pos), odd=False)
+            out.append((new, c * x))
         for j, a in enumerate(odd):
-            shifted = sig.shift_atom(a, pos)
-            others = odd[:j] + odd[j + 1:]
-            placed = _insert_odd(others, shifted, j)
-            if placed is None:
-                continue
-            new_odd, sign = placed
-            out.append(((even, new_odd), c * sign))
+            # D_i a moves to the front over j odd factors; the kernel places it
+            placed = _mul_atom((even, odd[:j] + odd[j + 1:]), sig.shift_atom(a, pos), odd=True)
+            if placed:
+                new, sign = placed
+                out.append((new, -c * sign if j % 2 else c * sign))
     return Expression.from_terms(sig, out, e.den)
-
-
-def _merge_one_even(even: tuple, atom: Atom) -> tuple:
-    """Insert one even atom (exponent 1) into a sorted factor list."""
-    for idx, (a, x) in enumerate(even):
-        if a == atom:
-            return even[:idx] + ((a, x + 1),) + even[idx + 1:]
-        if a > atom:
-            return even[:idx] + ((atom, 1),) + even[idx:]
-    return even + ((atom, 1),)
-
-
-def _insert_odd(others: tuple, atom: Atom, removed_at: int):
-    """Place ``atom`` into the sorted tuple ``others``; None if it already occurs."""
-    p = 0
-    for a in others:
-        if a == atom:
-            return None
-        if a < atom:
-            p += 1
-        else:
-            break
-    new = others[:p] + (atom,) + others[p:]
-    sign = -1 if (p - removed_at) % 2 else 1
-    return new, sign
 
 
 def apply_multi_derivative(e: Expression, mindex: Sequence[int]) -> Expression:
     """D_alpha for a multi-index of per-variable counts."""
+    if len(mindex) != e.sig.nvars or min(mindex, default=0) < 0:
+        raise UnknownGeneratorError(f"bad derivative multi-index {tuple(mindex)}")
     for pos, count in enumerate(mindex):
         for _ in range(count):
             e = total_derivative(e, pos)
@@ -185,9 +162,9 @@ def _antiderivative_even(e: Expression, atom: Atom) -> Expression:
     """Formal antiderivative of ``e`` in one even atom: b^k -> b^(k+1)/(k+1),
     one ``Expression.sum_of_products`` part per new divisor k + 1."""
     groups = {}  # new divisor -> terms
-    for (even, odd), c in e._nums:
-        k = 1 + next((x for a, x in even if a == atom), 0)
-        groups.setdefault(k, []).append(((_merge_one_even(even, atom), odd), c))
+    for key, c in e._nums:
+        k = 1 + next((x for a, x in key[0] if a == atom), 0)
+        groups.setdefault(k, []).append((_mul_atom(key, atom, odd=False)[0], c))
     return Expression.sum_of_products(e.sig, [
         (1, k, (Expression.from_terms(e.sig, terms, e.den),)) for k, terms in groups.items()])
 

@@ -319,8 +319,8 @@ def _solve_for_leading(name: str, comp: tuple, el: Expression):
 
     The coefficient is the graded left partial derivative of EL by its leading
     atom, so EL = lead * coeff + rest; once the coefficient is an invertible
-    parameter monomial, the rule is lead -> -rest / coeff, summed as
-    -inv * el + inv * lead * coeff in one accumulation."""
+    parameter monomial ``inv = 1 / coeff``, the rule is lead -> -rest / coeff,
+    summed as lead - inv * el in one accumulation."""
     sig = el.sig
     lead = max(el.jet_atoms(), key=_lead_key, default=None)
     if lead is None:
@@ -337,7 +337,7 @@ def _solve_for_leading(name: str, comp: tuple, el: Expression):
             f"leading coefficient of EL for {name}{list(comp)} is not an invertible parameter monomial"
         ) from None
     return lead, Expression.sum_of_products(
-        sig, [(-1, 1, (inv, el)), (1, 1, (inv * sig.from_atom(lead), coeff))])
+        sig, [(1, 1, (sig.from_atom(lead),)), (-1, 1, (inv, el))])
 
 
 def _orient(lagrangian: Expression):

@@ -60,6 +60,15 @@ class TestTotalDerivative:
         with pytest.raises(UnknownGeneratorError):
             jetcalc.total_derivative(mech_sig.coord("u"), "y")
 
+    @pytest.mark.parametrize("mindex", [(-1, 0), (1,), (1, 0, 0), ()])
+    def test_malformed_multi_index(self, plane_sig, mindex):
+        # a negative count, or a multi-index without one count per variable,
+        # names no derivative
+        with pytest.raises(UnknownGeneratorError, match="bad derivative multi-index"):
+            jetcalc.apply_multi_derivative(plane_sig.coord("u"), mindex)
+        assert jetcalc.apply_multi_derivative(plane_sig.coord("u"), (1, 1)) == (
+            plane_sig.coord("u", d=("t", "x")))
+
 
 class TestVariationalDerivative:
     def test_newton_equation(self, mech):

@@ -700,6 +700,24 @@ def test_total_derivatives_commute(n, data):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @PROPERTY
 @given(data=st.data())
+def test_total_derivative_obeys_the_chain_rule(n, data):
+    # D_i e = sum over jet atoms a of D_i a * dL e/da, plus de/dx_i, with
+    # parameters constant; built from the sweep's partials and products only,
+    # so the Koszul sign of D_i a's place is checked apart from jetcalc
+    sig = BV_SIGS[n]
+    e = data.draw(expressions(sig, max_terms=4))
+    # terms of up to three odd factors
+    e = e + data.draw(expressions(sig, ("psi", "c", antifield_name("u")), max_terms=2))
+    i = data.draw(st.integers(0, n - 1))
+    expected = partial_derivative(e, sig.atom(sig.variables[i].name))
+    for a in e.jet_atoms():
+        expected = expected + sig.from_atom(sig.shift_atom(a, i)) * partial_derivative(e, a)
+    assert jetcalc.total_derivative(e, i) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
 def test_euler_operator_kills_total_derivatives(n, data):
     e = data.draw(expressions(BV_SIGS[n], max_terms=5))
     divergence = jetcalc.total_derivative(e, data.draw(st.integers(0, n - 1)))
@@ -876,9 +894,16 @@ EVEN_NAMES = ("t", "x", "y", "m", "u", "v")
 def replacements(draw, sig, atom):
     """Zero or a sum of terms homogeneous of the atom's grading: an even
     ghost-free factor times an atom of the same generator when that is odd,
-    or, for an even target, sometimes times a pair of odd psi atoms."""
+    or, for an even target, sometimes times a pair of odd psi atoms.  For a
+    parameter, half the nonzero draws are a nonzero constant or a parameter
+    monomial, which substitute inverts where the parameter has a negative
+    exponent."""
     if draw(st.integers(0, 4)) == 0:
         return sig.zero()
+    if sig.generators[atom.gen].role == PARAM and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        power = sig.from_atom(atom) ** abs(k)
+        return sig.const(draw(coefficients)) * (invert_monomial(power) if k < 0 else power)
     name = sig.generators[atom.gen].name
     odd = sig.atom_grading(atom).parity == ODD
     terms = []
