@@ -30,6 +30,7 @@ from .core import (
     Generator,
     Grading,
     Signature,
+    _gradings,
     _memo,
     parity_ghost_of,
 )
@@ -123,7 +124,8 @@ class BVExtension:
 
 def antifield_component(e: Expression, level: int) -> Expression:
     """The part of an expression with the given total antifield number."""
-    part = [item for item in e._nums if e._key_grading(item[0]).antifield == level]
+    part = [item for g, items in _memo(e, _gradings).items() if g.antifield == level
+            for item in items]
     return Expression.from_terms(e.sig, part, e.den)
 
 

@@ -36,6 +36,8 @@ Graded partial derivatives are left ones, from one memoized sweep per
 expression that gives the derivative by every atom at once
 (``partial_derivative`` is a view of it); for ``e`` of parity ``p``,
 dR e/dz = (-1)^(|z| (p+1)) dL e/dz.
+Every grading query, ``bv.antifield_component`` too, is a view of one
+memoized pass, ``_gradings``, that groups the terms by grading.
 """
 
 from __future__ import annotations
@@ -384,8 +386,8 @@ class Expression:
     the rational view of the same sum, built on first read.  Instances are
     immutable; all arithmetic returns new normalized values, and
     ``from_terms`` is the one place that sums and sorts terms.  ``_memo``
-    fills ``_sweeps`` (left unset here) with the derivative sweep and the
-    Euler operator on first use.
+    fills ``_sweeps`` (left unset here) with the derivative sweep, the
+    Euler operator and the grading pass on first use.
     """
 
     __slots__ = ("sig", "den", "_nums", "_terms", "_sweeps")
@@ -505,7 +507,11 @@ class Expression:
         return self.sig == other.sig and self.den == other.den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.den, self._nums))
+        # a constant hashes like the number it equals
+        nums = self._nums
+        if not nums or len(nums) == 1 and nums[0][0] == ((), ()):
+            return hash(self.constant_value())
+        return hash((self.den, nums))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -588,22 +594,6 @@ class Expression:
             return Fraction(self._nums[0][1], self.den)
         raise UnknownGeneratorError("expression is not a rational constant")
 
-    def _key_grading(self, key: tuple) -> Grading:
-        """Grading of the monomial with key ``(even, odd)``."""
-        even, odd = key
-        gens = self.sig.generators
-        ghost = 0
-        afn = 0
-        for a, x in even:
-            g = gens[a.gen].grading
-            ghost += g.ghost * x
-            afn += g.antifield * x
-        for a in odd:
-            g = gens[a.gen].grading
-            ghost += g.ghost
-            afn += g.antifield
-        return Grading(len(odd) % 2, ghost, afn)
-
     def __repr__(self):
         from .printer import format_expression
 
@@ -659,27 +649,44 @@ def partial_derivative(e: Expression, c: Atom) -> Expression:
     return _memo(e, _sweep).get(c) or e.sig.zero()
 
 
+def _gradings(e: Expression) -> dict:
+    """One pass over the terms: each grading that occurs, with its
+    ``(key, numerator)`` items in term order (empty for zero)."""
+    gens = e.sig.generators
+    out = {}
+    for item in e._nums:
+        even, odd = item[0]
+        ghost = afn = 0
+        for a, x in even:
+            g = gens[a.gen].grading
+            ghost += g.ghost * x
+            afn += g.antifield * x
+        for a in odd:
+            g = gens[a.gen].grading
+            ghost += g.ghost
+            afn += g.antifield
+        out.setdefault(Grading(len(odd) % 2, ghost, afn), []).append(item)
+    return out
+
+
 def grading_of(e: Expression) -> Grading:
     """Common grading of all terms; errors on zero or mixed expressions."""
     if e.is_zero():
         raise ZeroExpressionGradingError("the zero expression has no definite grading")
-    gradings = {e._key_grading(key) for key, _ in e._nums}
+    gradings = _memo(e, _gradings)
     if len(gradings) > 1:
         raise InhomogeneousExpressionError(sorted(gradings, key=str))
-    return gradings.pop()
+    return next(iter(gradings))
 
 
 def is_homogeneous_of(e: Expression, grading: Grading) -> bool:
     """True when every term of ``e`` has the given grading (zero passes any)."""
-    return all(e._key_grading(key) == grading for key, _ in e._nums)
+    return _memo(e, _gradings).keys() <= {grading}
 
 
 def homogeneous_components(e: Expression) -> dict:
     """Split an expression into its graded-homogeneous parts, keyed by grading."""
-    buckets = {}
-    for item in e._nums:
-        buckets.setdefault(e._key_grading(item[0]), []).append(item)
-    return {g: Expression.from_terms(e.sig, part, e.den) for g, part in buckets.items()}
+    return {g: Expression.from_terms(e.sig, part, e.den) for g, part in _memo(e, _gradings).items()}
 
 
 def parity_ghost_of(e: Expression):
@@ -690,14 +697,9 @@ def parity_ghost_of(e: Expression):
     """
     if e.is_zero():
         raise ZeroExpressionGradingError("the zero expression has no definite grading")
-    seen = set()
-    for key, _ in e._nums:
-        g = e._key_grading(key)
-        seen.add((g.parity, g.ghost))
+    seen = {(g.parity, g.ghost) for g in _memo(e, _gradings)}
     if len(seen) > 1:
-        raise InhomogeneousExpressionError(
-            sorted((Grading(p, gh) for p, gh in seen), key=str)
-        )
+        raise InhomogeneousExpressionError(sorted((Grading(p, gh) for p, gh in seen), key=str))
     return seen.pop()
 
 

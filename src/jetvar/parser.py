@@ -25,6 +25,7 @@ on whatever range its letters are contracted against.  A product contracts
 its own repeated letters: a letter summed in a nested product is summed
 there again, never bound by an enclosing product.
 
+Every ``d(body; i)`` is ``jetcalc.total_derivative`` of the body's value.
 ``EL(`` always parses to an ``el`` node; the analysis rejects it outside
 operator mode.  Gauge operators are evaluated by the same product evaluator
 over the signature extended by one even formal jet coordinate ``EL(g)`` per
@@ -49,7 +50,6 @@ from .core import (
     GHOST,
     Generator,
     Grading,
-    JET_ROLES,
     ODD,
     PARAM,
     Signature,
@@ -421,7 +421,6 @@ class Expander:
         self._bodies: Dict[tuple, tuple] = {}  # (body, params) -> (slots, height, nonparam)
         self._open: List[str] = []  # defs whose bodies are being analysed
         self._instances: Dict[tuple, Expression] = {}  # (def, parameter values) -> value
-        self._shifts: Dict[Node, Node] = {}  # d(ref; slot) of a lone jet reference -> ref
 
     def extended(self, sig: Signature) -> "Expander":
         """An expander over a signature extending this one's that reuses its
@@ -430,7 +429,6 @@ class Expander:
         other._plans = dict(self._plans)
         other._bodies = dict(self._bodies)
         other._instances = dict(self._instances)
-        other._shifts = dict(self._shifts)
         return other
 
     # -- analysis --------------------------------------------------------------
@@ -530,9 +528,6 @@ class Expander:
             hi = self.sig.nvars - 1
             for k, v in self._exposed([slot], [Slot(0, hi, True, ((0, hi, slot, None),))]).items():
                 letters.setdefault(k, []).extend(v)
-            ref = self._lone_jet_reference(body)
-            if ref is not None:
-                self._shifts[node] = ref
             return letters, height, True
         if kind in ("ref", "el"):
             # EL(u[...]) is checked like u[...]; its errors name u
@@ -666,20 +661,6 @@ class Expander:
             assignments.append((values, c.numerator, c.denominator))
         self._plans[node] = _Plan(tuple(p[0] for p in pairs), assignments, eps, factors)
 
-    def _lone_jet_reference(self, node: Node) -> Optional[Node]:
-        """The reference when the sum ``node`` is one checked jet coordinate,
-        written alone and with no letter repeated, else None."""
-        if len(node.data) != 1 or node.data[0][0] != 1 or len(node.data[0][1].data) != 1:
-            return None
-        ref = node.data[0][1].data[0]
-        if ref.kind == "ref":
-            if ref.data[0] in self.defs or self.sig.generator(ref.data[0]).role not in JET_ROLES:
-                return None
-        elif ref.kind != "el":
-            return None
-        letters = [item.value for item in ref.data[1] if item.kind == "letter"]
-        return ref if len(set(letters)) == len(letters) else None
-
     def _is_variable(self, name: str) -> bool:
         return name in self._variables
 
@@ -751,9 +732,6 @@ class Expander:
         if kind == "d":
             body, slot = node.data
             pos = self._index_value(slot, env)
-            ref = self._shifts.get(node)
-            if ref is not None:
-                return self.sig.from_atom(self.sig.shift_atom(self._atom(ref, env), pos))
             return jetcalc.total_derivative(self._eval_factor(body, env), pos)
         if kind in ("ref", "el"):
             return self._eval_ref(node, env)

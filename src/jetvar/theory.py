@@ -410,9 +410,7 @@ def on_shell_reduce(e: Expression, theory: Theory, max_order: int) -> Expression
 
 
 def _check_evaluable(expr: Expression):
-    if expr.is_zero():
-        return
-    g = _memo(expr, grading_of)
+    g = grading_of(expr) if expr else EVEN_GRADING
     if g.parity != EVEN:
         raise OddDensityError("cannot integrate an odd density")
     if g.ghost != 0 or g.antifield != 0:

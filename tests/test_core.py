@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetvar import builtin, core, jetcalc
+from jetvar import builtin, core, jetcalc, parser
 from jetvar.core import (
     Atom,
     EVEN,
@@ -120,6 +120,13 @@ class TestArithmetic:
     def test_cross_theory_mismatch(self, mech_sig, plane_sig):
         with pytest.raises(GeneratorMismatchError):
             mech_sig.coord("u") + plane_sig.coord("u")
+
+    @pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2)])
+    def test_a_constant_hashes_like_the_number_it_equals(self, mech_sig, value):
+        c = mech_sig.const(value)
+        assert c == value and hash(c) == hash(value)
+        assert c in {value} and value in {c} and len({c, value}) == 1
+        assert {value: "a"}.get(c) == "a" and {c: "a"}.get(value) == "a"
 
     def test_pow_and_division(self, mech_sig):
         u = mech_sig.coord("u")
@@ -297,6 +304,15 @@ def test_only_the_kernel_merges_factor_lists():
                  for alias in node.names}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not names & {"_merge_even", "_merge_odd"}, path.name
+
+
+def test_the_frontend_builds_no_shifted_atom():
+    # every d(body; i) is jetcalc.total_derivative of the body's value: a
+    # frontend that shifted an atom itself would keep a second derivative rule
+    tree = ast.parse(pathlib.Path(parser.__file__).read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "shift_atom" not in names
 
 
 def test_one_owner_brings_parts_to_a_common_denominator():

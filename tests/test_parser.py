@@ -7,9 +7,22 @@ from fractions import Fraction
 
 import pytest
 
-from jetvar import parser
+from jetvar import jetcalc, parser
 from jetvar.bv import BVExtension
-from jetvar.core import EVEN, Expression, Grading, grading_of
+from jetvar.core import (
+    ANTIFIELD,
+    EVEN,
+    FIELD,
+    GHOST,
+    ODD,
+    PARAM,
+    VAR,
+    Expression,
+    Generator,
+    Grading,
+    Signature,
+    grading_of,
+)
 from jetvar.errors import (
     IndexRangeError,
     ParseError,
@@ -435,6 +448,58 @@ def test_parse_operator_matches_the_gauge_line():
         assert NoetherOperator(theory, table).coefficients == op.coefficients
     with pytest.raises(ParseError):
         parse_operator("u", builtin("free_particle").theory)
+
+
+def _jet_signature(n: int) -> Signature:
+    """n variables, a parameter, an even field, an odd field, an odd ghost,
+    and the antifields of the even field (odd) and of the ghost (even)."""
+    return Signature(
+        [Generator(v, VAR) for v in ("t", "x", "y")[:n]]
+        + [
+            Generator("m", PARAM),
+            Generator("u", FIELD, ((1, 2),)),
+            Generator("psi", FIELD, grading=Grading(ODD, 0)),
+            Generator("c", GHOST, ((1, 2),), grading=Grading(ODD, 1)),
+            Generator("u*", ANTIFIELD, ((1, 2),), Grading(ODD, -1, 1)),
+            Generator("c*", ANTIFIELD, ((1, 2),), Grading(EVEN, -2, 2)),
+        ],
+        [1] * n,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_d_is_the_total_derivative_of_its_body(n):
+    # a field component, an odd field, a ghost, an antifield of each parity,
+    # a variable, a parameter, a def instance and references whose letter the
+    # environment binds; and d of a formal EL coordinate in a gauge operator
+    sig = _jet_signature(n)
+    names = [g.name for g in sig.variables]
+
+    def tree(text):
+        return parser._Parser(parser.tokenize(text)).parse_full()
+
+    defs = {"K": parser.DefEntry(("a",), tree("u[a]*psi - m*c[a]"))}
+
+    def value(text, env):
+        return parser.Expander(sig, defs).expression(tree(text), env)
+
+    kinds = [("u[2]", {}), ("psi", {}), ("c[1]", {}), ("u*[2]", {}), ("c*[1]", {}),
+             ("t", {}), ("m", {}), ("K[2]", {}), ("u[b]", {"b": 2}), ("c*[b]", {"b": 1})]
+    for text, env in kinds:
+        body = value(text, env)
+        for v, name in enumerate(names):
+            once = jetcalc.total_derivative(body, v)
+            assert value(f"d({text};{name})", env) == once, (text, name)
+            if not env and text != "K[2]":
+                assert parse_expression(f"d({text};{name})", sig) == once, (text, name)
+            for w, other in enumerate(names):
+                twice = value(f"d(d({text};{name});{other})", env)
+                assert twice == jetcalc.total_derivative(once, w), (text, name, other)
+    if n > 1:  # maxwell needs two variables
+        theory = builtin("maxwell", dim=n).theory
+        one = theory.signature.one()
+        table = {("A", (nu,)): {tuple(int(k == nu) for k in range(n)): one} for nu in range(n)}
+        assert parse_operator("d(EL(A[nu]);nu)", theory) == table
 
 
 def test_operator_products_and_sums_expand_by_leibniz(free):

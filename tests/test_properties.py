@@ -34,6 +34,7 @@ from jetvar.bv import (  # noqa: E402
 )
 from jetvar.core import (  # noqa: E402
     ANTIFIELD,
+    EVEN_GRADING,
     FIELD,
     GHOST,
     JET_ROLES,
@@ -46,13 +47,20 @@ from jetvar.core import (  # noqa: E402
     Grading,
     Monomial,
     Signature,
+    grading_of,
     homogeneous_components,
     invert_monomial,
+    is_homogeneous_of,
     parity_ghost_of,
     partial_derivative,
     substitute,
 )
-from jetvar.errors import GeneratorMismatchError, GradingViolationError  # noqa: E402
+from jetvar.errors import (  # noqa: E402
+    GeneratorMismatchError,
+    GradingViolationError,
+    InhomogeneousExpressionError,
+    ZeroExpressionGradingError,
+)
 from jetvar.parser import parse_expression, parse_operator  # noqa: E402
 from jetvar.printer import format_expression  # noqa: E402
 from jetvar.theory import (  # noqa: E402
@@ -545,6 +553,29 @@ def test_graded_parts_re_reduce_the_denominator(n, data):
         _assert_normal(part)
     assert Expression.sum(sig, components.values()) == e
     assert Expression.sum(sig, layers) == e
+    # every grading view reads the one pass: its keys, in the order the
+    # gradings first occur among the terms; zero has none
+    for x in (e, sig.zero()):
+        keys = list(homogeneous_components(x))
+        assert keys == list(dict.fromkeys(grading_of(Expression(sig, [m])) for m in x.terms))
+        if len(keys) == 1:
+            assert grading_of(x) == keys[0]
+        else:
+            error = InhomogeneousExpressionError if keys else ZeroExpressionGradingError
+            with pytest.raises(error) as err:
+                grading_of(x)
+            if keys:
+                assert err.value.gradings == tuple(sorted(keys, key=str))
+        for g in {*keys, EVEN_GRADING, Grading(ODD, 1)}:
+            assert is_homogeneous_of(x, g) == (set(keys) <= {g})
+        pairs = {(g.parity, g.ghost) for g in keys}
+        if len(pairs) == 1:
+            assert parity_ghost_of(x) == pairs.pop()
+        else:
+            error = InhomogeneousExpressionError if pairs else ZeroExpressionGradingError
+            with pytest.raises(error):
+                parity_ghost_of(x)
+    assert antifield_component(sig.zero(), 0) == 0
 
 
 def test_a_part_of_a_normal_form_drops_the_shared_factor():
